@@ -686,48 +686,9 @@ mod tests {
     use rsm_core::command::{Command, CommandId};
     use rsm_core::config::Membership;
     use rsm_core::id::ClientId;
-    use rsm_core::protocol::{Protocol, TimerToken};
-    use rsm_core::time::Micros;
+    use rsm_core::protocol::Protocol;
 
-    struct TestCtx {
-        sends: Vec<(ReplicaId, RsmMsg)>,
-        commits: Vec<Committed>,
-        log: Vec<LogRec>,
-        clock: Micros,
-    }
-
-    impl TestCtx {
-        fn new() -> Self {
-            TestCtx {
-                sends: Vec::new(),
-                commits: Vec::new(),
-                log: Vec::new(),
-                clock: 1_000,
-            }
-        }
-    }
-
-    impl Context<ClockRsm> for TestCtx {
-        fn clock(&mut self) -> Micros {
-            self.clock += 1;
-            self.clock
-        }
-        fn send(&mut self, to: ReplicaId, msg: RsmMsg) {
-            self.sends.push((to, msg));
-        }
-        fn log_append(&mut self, rec: LogRec) {
-            self.log.push(rec);
-        }
-        fn log_rewrite(&mut self, recs: Vec<LogRec>) {
-            self.log = recs;
-        }
-        fn commit(&mut self, c: Committed) -> Bytes {
-            let result = c.cmd.payload.clone();
-            self.commits.push(c);
-            result
-        }
-        fn set_timer(&mut self, _after: Micros, _token: TimerToken) {}
-    }
+    type TestCtx = rsm_core::testing::TestCtx<ClockRsm>;
 
     fn r(i: u16) -> ReplicaId {
         ReplicaId::new(i)
@@ -759,7 +720,7 @@ mod tests {
     #[test]
     fn trigger_broadcasts_suspend_to_spec() {
         let mut p = replica(0);
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(1_000);
         p.trigger_reconfigure(vec![r(0), r(1)], &mut ctx);
         let suspends = ctx
             .sends
@@ -773,7 +734,7 @@ mod tests {
     #[test]
     fn trigger_refuses_sub_majority_config() {
         let mut p = replica(0);
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(1_000);
         p.trigger_reconfigure(vec![r(0)], &mut ctx);
         assert!(p.reconfig.is_idle());
         assert!(ctx.sends.is_empty());
@@ -782,7 +743,7 @@ mod tests {
     #[test]
     fn suspend_freezes_and_returns_log_tail() {
         let mut p = replica(1);
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(1_000);
         // Seed the history with two prepares.
         p.history.insert(Timestamp::new(100, r(0)), (r(0), cmd(1)));
         p.history.insert(Timestamp::new(200, r(0)), (r(0), cmd(2)));
@@ -805,7 +766,7 @@ mod tests {
     #[test]
     fn stale_suspend_gets_catchup_not_freeze() {
         let mut p = replica(1);
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(1_000);
         p.reconfig.decisions.insert(
             Epoch(1),
             Decision {
@@ -829,7 +790,7 @@ mod tests {
     #[test]
     fn full_reconfiguration_round() {
         let mut nodes: Vec<ClockRsm> = (0..3).map(replica).collect();
-        let mut ctxs: Vec<TestCtx> = (0..3).map(|_| TestCtx::new()).collect();
+        let mut ctxs: Vec<TestCtx> = (0..3).map(|_| TestCtx::new(1_000)).collect();
 
         // r1 has logged a command that r0 (the reconfigurer) hasn't seen.
         let orphan = lc(500, 1, 42);
@@ -882,7 +843,7 @@ mod tests {
     #[test]
     fn fetching_state_requests_missing_range() {
         let mut p = replica(2);
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(1_000);
         // A decision whose commit point is ahead of ours.
         let d = Decision {
             config: vec![r(0), r(1), r(2)],
@@ -919,7 +880,7 @@ mod tests {
     #[test]
     fn decision_catchup_applies_in_epoch_order() {
         let mut p = replica(2);
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(1_000);
         let d1 = Decision {
             config: vec![r(0), r(1), r(2)],
             cts: Timestamp::ZERO,
@@ -944,7 +905,7 @@ mod tests {
     #[test]
     fn retrieve_serves_requested_range() {
         let mut p = replica(0);
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(1_000);
         for (m, seq) in [(100u64, 1u64), (200, 2), (300, 3)] {
             p.history.insert(Timestamp::new(m, r(0)), (r(0), cmd(seq)));
         }

@@ -1101,69 +1101,7 @@ mod tests {
     use rsm_core::id::ClientId;
     use rsm_core::Batch;
 
-    pub(crate) struct TestCtx {
-        pub sends: Vec<(ReplicaId, RsmMsg)>,
-        pub commits: Vec<Committed>,
-        pub log: Vec<LogRec>,
-        pub timers: Vec<(Micros, TimerToken)>,
-        pub clock: Micros,
-        pub clock_step: Micros,
-        /// Replies routed via `send_reply` (served local reads).
-        pub read_replies: Vec<Reply>,
-        /// Whether `sm_read` answers (false models a driver without
-        /// state machine access, forcing the replicated fallback).
-        pub serve_reads: bool,
-    }
-
-    impl TestCtx {
-        pub fn new(start_clock: Micros) -> Self {
-            TestCtx {
-                sends: Vec::new(),
-                commits: Vec::new(),
-                log: Vec::new(),
-                timers: Vec::new(),
-                clock: start_clock,
-                clock_step: 1,
-                read_replies: Vec::new(),
-                serve_reads: true,
-            }
-        }
-
-        pub fn take_sends(&mut self) -> Vec<(ReplicaId, RsmMsg)> {
-            std::mem::take(&mut self.sends)
-        }
-    }
-
-    impl Context<ClockRsm> for TestCtx {
-        fn clock(&mut self) -> Micros {
-            self.clock += self.clock_step;
-            self.clock
-        }
-        fn send(&mut self, to: ReplicaId, msg: RsmMsg) {
-            self.sends.push((to, msg));
-        }
-        fn log_append(&mut self, rec: LogRec) {
-            self.log.push(rec);
-        }
-        fn log_rewrite(&mut self, recs: Vec<LogRec>) {
-            self.log = recs;
-        }
-        fn commit(&mut self, c: Committed) -> Bytes {
-            let result = c.cmd.payload.clone();
-            self.commits.push(c);
-            result
-        }
-        fn set_timer(&mut self, after: Micros, token: TimerToken) {
-            self.timers.push((after, token));
-        }
-        fn sm_read(&mut self, cmd: &Command) -> Option<Bytes> {
-            self.serve_reads
-                .then(|| Bytes::from(format!("read:{}", cmd.id.seq).into_bytes()))
-        }
-        fn send_reply(&mut self, reply: Reply) {
-            self.read_replies.push(reply);
-        }
-    }
+    type TestCtx = rsm_core::testing::TestCtx<ClockRsm>;
 
     fn cmd(seq: u64) -> Command {
         Command::new(

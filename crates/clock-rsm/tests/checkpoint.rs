@@ -5,72 +5,21 @@ use bytes::Bytes;
 use clock_rsm::{ClockRsm, ClockRsmConfig, LogRec, RsmMsg};
 use rsm_core::batch::Batch;
 use rsm_core::checkpoint::CheckpointPolicy;
-use rsm_core::command::{Command, CommandId, Committed};
+use rsm_core::command::{Command, CommandId};
 use rsm_core::config::{Epoch, Membership};
 use rsm_core::id::{ClientId, ReplicaId};
-use rsm_core::protocol::{Context, Protocol, TimerToken};
-use rsm_core::time::{Micros, Timestamp};
+use rsm_core::protocol::Protocol;
+use rsm_core::testing::TestCtx;
+use rsm_core::time::Timestamp;
 
-/// A context whose "state machine" is an append-only list of executed
-/// sequence numbers, with snapshot/restore support.
-struct CtxWithSm {
-    clock: Micros,
-    log: Vec<LogRec>,
-    executed: Vec<u64>,
-    commits: Vec<Committed>,
-    support_snapshots: bool,
-}
+type CtxWithSm = TestCtx<ClockRsm>;
 
-impl CtxWithSm {
-    fn new(support_snapshots: bool) -> Self {
-        CtxWithSm {
-            clock: 1_000,
-            log: Vec::new(),
-            executed: Vec::new(),
-            commits: Vec::new(),
-            support_snapshots,
-        }
-    }
-}
-
-impl Context<ClockRsm> for CtxWithSm {
-    fn clock(&mut self) -> Micros {
-        self.clock += 1;
-        self.clock
-    }
-    fn send(&mut self, _to: ReplicaId, _msg: RsmMsg) {}
-    fn log_append(&mut self, rec: LogRec) {
-        self.log.push(rec);
-    }
-    fn log_rewrite(&mut self, recs: Vec<LogRec>) {
-        self.log = recs;
-    }
-    fn commit(&mut self, c: Committed) -> Bytes {
-        let result = c.cmd.payload.clone();
-        self.executed.push(c.cmd.id.seq);
-        self.commits.push(c);
-        result
-    }
-    fn set_timer(&mut self, _after: Micros, _token: TimerToken) {}
-    fn sm_snapshot(&mut self) -> Option<Bytes> {
-        if !self.support_snapshots {
-            return None;
-        }
-        let mut buf = Vec::new();
-        for s in &self.executed {
-            buf.extend_from_slice(&s.to_be_bytes());
-        }
-        Some(Bytes::from(buf))
-    }
-    fn sm_install(&mut self, snapshot: Bytes) -> bool {
-        if !self.support_snapshots {
-            return false;
-        }
-        self.executed = snapshot
-            .chunks(8)
-            .map(|c| u64::from_be_bytes(c.try_into().expect("8-byte chunks")))
-            .collect();
-        true
+/// A context whose "state machine" is the list of executed sequence
+/// numbers, with or without snapshot/restore support.
+fn ctx_with_sm(snapshots: bool) -> CtxWithSm {
+    TestCtx {
+        snapshots,
+        ..TestCtx::new(1_000)
     }
 }
 
@@ -136,7 +85,7 @@ fn commit_n(p: &mut ClockRsm, ctx: &mut CtxWithSm, count: u64) {
 #[test]
 fn checkpoints_are_written_at_the_interval() {
     let mut p = replica(Some(3));
-    let mut ctx = CtxWithSm::new(true);
+    let mut ctx = ctx_with_sm(true);
     commit_n(&mut p, &mut ctx, 7);
     let checkpoints: Vec<&LogRec> = ctx
         .log
@@ -166,7 +115,7 @@ fn byte_budget_triggers_checkpoints_before_the_count_interval() {
     // 1-byte commands, a 2-byte budget and a distant count interval: the
     // byte trigger must fire every two commits.
     let mut p = replica_with(CheckpointPolicy::every(1_000_000).with_every_bytes(Some(2)));
-    let mut ctx = CtxWithSm::new(true);
+    let mut ctx = ctx_with_sm(true);
     commit_n(&mut p, &mut ctx, 6);
     let checkpoints = ctx
         .log
@@ -179,7 +128,7 @@ fn byte_budget_triggers_checkpoints_before_the_count_interval() {
 #[test]
 fn compaction_truncates_the_log_below_the_watermark() {
     let mut p = replica_with(CheckpointPolicy::every(3).with_compaction(true));
-    let mut ctx = CtxWithSm::new(true);
+    let mut ctx = ctx_with_sm(true);
     commit_n(&mut p, &mut ctx, 7);
     // The last compaction ran at commit 6: the log holds that checkpoint
     // plus only the records above its watermark (commit 7's pair).
@@ -197,7 +146,7 @@ fn compaction_truncates_the_log_below_the_watermark() {
     );
     // Recovery from the compacted log reproduces the full state.
     let mut p2 = replica_with(CheckpointPolicy::every(3).with_compaction(true));
-    let mut ctx2 = CtxWithSm::new(true);
+    let mut ctx2 = ctx_with_sm(true);
     p2.on_recover(&ctx.log.clone(), &mut ctx2);
     assert_eq!(ctx2.executed, vec![1, 2, 3, 4, 5, 6, 7]);
     assert_eq!(p2.last_committed_ts().micros(), 70_000);
@@ -206,13 +155,13 @@ fn compaction_truncates_the_log_below_the_watermark() {
 #[test]
 fn recovery_restores_snapshot_and_replays_only_suffix() {
     let mut p = replica(Some(3));
-    let mut ctx = CtxWithSm::new(true);
+    let mut ctx = ctx_with_sm(true);
     commit_n(&mut p, &mut ctx, 7);
     let log = ctx.log.clone();
 
     // Fresh replica + fresh context: recover from the log.
     let mut p2 = replica(Some(3));
-    let mut ctx2 = CtxWithSm::new(true);
+    let mut ctx2 = ctx_with_sm(true);
     p2.on_recover(&log, &mut ctx2);
 
     // The snapshot restored commands 1..=6; only command 7 was replayed.
@@ -225,13 +174,13 @@ fn recovery_restores_snapshot_and_replays_only_suffix() {
 #[test]
 fn recovery_without_snapshot_support_replays_everything() {
     let mut p = replica(Some(3));
-    let mut ctx = CtxWithSm::new(true);
+    let mut ctx = ctx_with_sm(true);
     commit_n(&mut p, &mut ctx, 7);
     let log = ctx.log.clone();
 
     // The recovering driver cannot restore snapshots: full replay.
     let mut p2 = replica(Some(3));
-    let mut ctx2 = CtxWithSm::new(false);
+    let mut ctx2 = ctx_with_sm(false);
     p2.on_recover(&log, &mut ctx2);
     assert_eq!(ctx2.executed, vec![1, 2, 3, 4, 5, 6, 7]);
     assert_eq!(ctx2.commits.len(), 7);
@@ -240,7 +189,7 @@ fn recovery_without_snapshot_support_replays_everything() {
 #[test]
 fn no_checkpoints_without_configuration() {
     let mut p = replica(None);
-    let mut ctx = CtxWithSm::new(true);
+    let mut ctx = ctx_with_sm(true);
     commit_n(&mut p, &mut ctx, 10);
     assert!(
         !ctx.log
@@ -253,7 +202,7 @@ fn no_checkpoints_without_configuration() {
 #[test]
 fn snapshotless_driver_never_receives_checkpoint_records() {
     let mut p = replica(Some(2));
-    let mut ctx = CtxWithSm::new(false);
+    let mut ctx = ctx_with_sm(false);
     commit_n(&mut p, &mut ctx, 6);
     assert!(
         !ctx.log

@@ -15,52 +15,17 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use clock_rsm::{ClockRsm, ClockRsmConfig, LogRec, RsmMsg};
+use clock_rsm::{ClockRsm, ClockRsmConfig, RsmMsg};
 use proptest::prelude::*;
-use rsm_core::command::{Command, CommandId, Committed};
+use rsm_core::command::{Command, CommandId};
 use rsm_core::config::Membership;
 use rsm_core::id::{ClientId, ReplicaId};
-use rsm_core::protocol::{Context, Protocol, TimerToken};
+use rsm_core::protocol::Protocol;
+use rsm_core::testing::TestCtx;
 use rsm_core::time::Micros;
 
 /// Per-replica context: a skewed logical clock plus captured effects.
-struct PumpCtx {
-    clock: Micros,
-    sends: Vec<(ReplicaId, RsmMsg)>,
-    timers: Vec<(Micros, TimerToken)>,
-    commits: Vec<Committed>,
-}
-
-impl PumpCtx {
-    fn new(start_clock: Micros) -> Self {
-        PumpCtx {
-            clock: start_clock,
-            sends: Vec::new(),
-            timers: Vec::new(),
-            commits: Vec::new(),
-        }
-    }
-}
-
-impl Context<ClockRsm> for PumpCtx {
-    fn clock(&mut self) -> Micros {
-        self.clock += 1;
-        self.clock
-    }
-    fn send(&mut self, to: ReplicaId, msg: RsmMsg) {
-        self.sends.push((to, msg));
-    }
-    fn log_append(&mut self, _rec: LogRec) {}
-    fn log_rewrite(&mut self, _recs: Vec<LogRec>) {}
-    fn commit(&mut self, c: Committed) -> Bytes {
-        let result = c.cmd.payload.clone();
-        self.commits.push(c);
-        result
-    }
-    fn set_timer(&mut self, after: Micros, token: TimerToken) {
-        self.timers.push((after, token));
-    }
-}
+type PumpCtx = TestCtx<ClockRsm>;
 
 struct Pump {
     n: usize,

@@ -503,13 +503,13 @@ impl BatchController {
 
     /// Feeds one locally-originated commit latency sample, in
     /// microseconds, taken at driver-clock time `now_us`. The sample
-    /// should approximate request-to-commit time at the origin; drivers
-    /// feed what they can observe (the simulator measures from the
-    /// request entering the node's inbox, the threaded runtime from the
-    /// drain that dequeued it — the latter misses inbox wait, so it
-    /// under-reports backlog slightly). The signal only gates *narrowing*
-    /// relative to its own floor, so a consistently-measured
-    /// under-estimate still works. The clock only needs to be monotonic
+    /// should approximate request-to-commit time at the origin; the
+    /// [`NodeCore`](crate::node::NodeCore) measures from the arrival
+    /// instant its driver passed with the request (the simulator's
+    /// request event, the threaded runtime's drain — the latter misses
+    /// inbox wait, so it under-reports backlog slightly). The signal only
+    /// gates *narrowing* relative to its own floor, so a
+    /// consistently-measured under-estimate still works. The clock only needs to be monotonic
     /// per node — it is the time base for the floor's creep, which is
     /// deliberately per-second rather than per-sample (see
     /// [`LATENCY_FLOOR_CREEP_PER_SEC`]). Ignored for static policies.

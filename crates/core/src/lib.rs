@@ -7,8 +7,11 @@
 //! Paxos-bcast, and Mencius-bcast — is written as a deterministic,
 //! event-driven state machine implementing the [`Protocol`] trait. A protocol
 //! never touches a socket, a disk, or a wall clock directly: all its
-//! interactions with the outside world go through a [`Context`], which the
-//! embedding driver provides. Two drivers exist in this workspace:
+//! interactions with the outside world go through a [`Context`]. The only
+//! driver-side `Context` is [`NodeCore`] (module [`node`]): it owns a
+//! replica's protocol, state machine, stable log and batching, takes time
+//! as an argument, and returns every effect to its driver. Two drivers
+//! run it in this workspace:
 //!
 //! * `simnet` — a deterministic discrete-event simulator with virtual time,
 //!   a configurable wide-area latency matrix, loosely synchronized physical
@@ -36,7 +39,7 @@
 //! never observable in the committed sequence, only in throughput.
 //!
 //! The flush threshold can also adapt to load: an
-//! [`adaptive`](BatchPolicy::adaptive) policy gives each driver node a
+//! [`adaptive`](BatchPolicy::adaptive) policy gives each [`NodeCore`] a
 //! [`BatchController`] that widens batches as its inbox deepens and
 //! narrows them back when load (and commit latency) subsides, so a
 //! single knob serves both light-load latency and heavy-load
@@ -99,11 +102,13 @@ pub mod error;
 pub mod id;
 pub mod lease;
 pub mod matrix;
+pub mod node;
 pub mod obs;
 pub mod protocol;
 pub mod read;
 pub mod session;
 pub mod sm;
+pub mod testing;
 pub mod time;
 pub mod wire;
 
@@ -117,6 +122,7 @@ pub use error::{ProtocolError, Result};
 pub use id::{ClientId, ReplicaId};
 pub use lease::{Lease, LeaseConfig};
 pub use matrix::LatencyMatrix;
+pub use node::NodeCore;
 pub use obs::TraceStage;
 pub use protocol::{Context, Protocol, TimerToken};
 pub use read::{ReadPath, ReadProbes, ReadQueue, ReadReply, ReadRequest};

@@ -1,14 +1,15 @@
 //! Observability vocabulary shared by protocols and drivers.
 //!
-//! `rsm-core` deliberately does **not** depend on the `rsm-obs`
-//! registry crate: protocols emit observations through the default-
-//! no-op hooks on [`Context`](crate::protocol::Context)
-//! (`obs_count` / `obs_gauge` / `trace`) and the periodic
+//! Protocols never touch the `rsm-obs` registry: they emit
+//! observations through the default-no-op hooks on
+//! [`Context`](crate::protocol::Context) (`obs_count` / `obs_gauge` /
+//! `trace`) and the periodic
 //! [`Protocol::obs_poll`](crate::protocol::Protocol::obs_poll)
-//! callback, and each driver decides whether (and into what) to record
-//! them. This module pins down the shared vocabulary: the trace-stage
-//! enum, the span-key packing, and the metric name constants, so both
-//! drivers and the report tooling agree on what every series means.
+//! callback, and the [`NodeCore`](crate::node::NodeCore) records them
+//! when its driver observes. This module pins down the shared
+//! vocabulary: the trace-stage enum, the span-key packing, and the
+//! metric name constants, so drivers and the report tooling agree on
+//! what every series means.
 
 use crate::command::CommandId;
 

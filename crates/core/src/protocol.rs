@@ -304,39 +304,7 @@ mod tests {
         }
     }
 
-    #[derive(Default)]
-    struct RecordingCtx {
-        now: Micros,
-        log: Vec<Command>,
-        committed: Vec<Committed>,
-        timers: Vec<(Micros, TimerToken)>,
-        replies: Vec<Reply>,
-    }
-
-    impl Context<Echo> for RecordingCtx {
-        fn clock(&mut self) -> Micros {
-            self.now += 1;
-            self.now
-        }
-        fn send(&mut self, _to: ReplicaId, _msg: ()) {}
-        fn log_append(&mut self, rec: Command) {
-            self.log.push(rec);
-        }
-        fn log_rewrite(&mut self, recs: Vec<Command>) {
-            self.log = recs;
-        }
-        fn commit(&mut self, c: Committed) -> Bytes {
-            let result = c.cmd.payload.clone();
-            self.committed.push(c);
-            result
-        }
-        fn set_timer(&mut self, after: Micros, token: TimerToken) {
-            self.timers.push((after, token));
-        }
-        fn send_reply(&mut self, reply: Reply) {
-            self.replies.push(reply);
-        }
-    }
+    type TestCtx = crate::testing::TestCtx<Echo>;
 
     fn cmd(seq: u64) -> Command {
         Command::new(
@@ -351,13 +319,13 @@ mod tests {
             id: ReplicaId::new(0),
             order: 0,
         };
-        let mut ctx = RecordingCtx::default();
+        let mut ctx = TestCtx::new(0);
         p.on_start(&mut ctx);
         assert_eq!(ctx.timers, vec![(5, TimerToken(1))]);
         p.on_client_request(cmd(1), &mut ctx);
         p.on_client_request(cmd(2), &mut ctx);
-        assert_eq!(ctx.committed.len(), 2);
-        assert!(ctx.committed[0].order_hint < ctx.committed[1].order_hint);
+        assert_eq!(ctx.commits.len(), 2);
+        assert!(ctx.commits[0].order_hint < ctx.commits[1].order_hint);
         assert_eq!(ctx.log.len(), 2);
     }
 
@@ -367,10 +335,10 @@ mod tests {
             id: ReplicaId::new(0),
             order: 0,
         };
-        let mut ctx = RecordingCtx::default();
+        let mut ctx = TestCtx::new(0);
         let log = vec![cmd(1), cmd(2), cmd(3)];
         p.on_recover(&log, &mut ctx);
-        assert_eq!(ctx.committed.len(), 3);
+        assert_eq!(ctx.commits.len(), 3);
     }
 
     #[test]
@@ -378,33 +346,33 @@ mod tests {
         use crate::session::SessionTable;
         let me = ReplicaId::new(0);
         let mut table = SessionTable::new(4);
-        let mut ctx = RecordingCtx::default();
+        let mut ctx = TestCtx::new(0);
         let committed = Committed {
             cmd: cmd(1),
             origin: me,
             order_hint: 1,
         };
         assert!(table.commit_dedup(me, committed.clone(), &mut ctx));
-        assert_eq!(ctx.committed.len(), 1);
+        assert_eq!(ctx.commits.len(), 1);
         // A duplicate (same CommandId) is not re-applied: the origin gets
         // the cached reply instead.
         assert!(!table.commit_dedup(me, committed.clone(), &mut ctx));
-        assert_eq!(ctx.committed.len(), 1);
-        assert_eq!(ctx.replies.len(), 1);
-        assert_eq!(ctx.replies[0].id, committed.cmd.id);
-        assert_eq!(ctx.replies[0].result, committed.cmd.payload);
+        assert_eq!(ctx.commits.len(), 1);
+        assert_eq!(ctx.read_replies.len(), 1);
+        assert_eq!(ctx.read_replies[0].id, committed.cmd.id);
+        assert_eq!(ctx.read_replies[0].result, committed.cmd.payload);
         // At a non-origin replica the duplicate is dropped silently.
         let elsewhere = Committed {
             origin: ReplicaId::new(1),
             ..committed
         };
         assert!(!table.commit_dedup(me, elsewhere, &mut ctx));
-        assert_eq!(ctx.replies.len(), 1);
+        assert_eq!(ctx.read_replies.len(), 1);
     }
 
     #[test]
     fn recording_clock_is_strictly_monotonic() {
-        let mut ctx = RecordingCtx::default();
+        let mut ctx = TestCtx::new(0);
         let a = Context::<Echo>::clock(&mut ctx);
         let b = Context::<Echo>::clock(&mut ctx);
         assert!(b > a);

@@ -1337,95 +1337,8 @@ mod tests {
     use rsm_core::command::CommandId;
     use rsm_core::id::ClientId;
     use rsm_core::read::ReadRequest;
-    use rsm_core::time::Micros;
 
-    struct TestCtx {
-        sends: Vec<(ReplicaId, MenciusMsg)>,
-        commits: Vec<Committed>,
-        log: Vec<MenciusLogRec>,
-        clock: Micros,
-        /// Executed command seqs — a trivial state machine for snapshot
-        /// tests; `snapshots` gates whether the driver supports them.
-        executed: Vec<u64>,
-        snapshots: bool,
-        /// Replies routed via `send_reply` (served local reads).
-        read_replies: Vec<Reply>,
-        /// Whether `sm_read` answers (false models a driver without
-        /// state machine access, forcing the replicated fallback).
-        serve_reads: bool,
-    }
-
-    impl TestCtx {
-        fn new() -> Self {
-            TestCtx {
-                sends: Vec::new(),
-                commits: Vec::new(),
-                log: Vec::new(),
-                clock: 0,
-                executed: Vec::new(),
-                snapshots: false,
-                read_replies: Vec::new(),
-                serve_reads: true,
-            }
-        }
-
-        fn with_snapshots() -> Self {
-            TestCtx {
-                snapshots: true,
-                ..TestCtx::new()
-            }
-        }
-    }
-
-    impl Context<MenciusBcast> for TestCtx {
-        fn clock(&mut self) -> Micros {
-            self.clock += 1;
-            self.clock
-        }
-        fn send(&mut self, to: ReplicaId, msg: MenciusMsg) {
-            self.sends.push((to, msg));
-        }
-        fn log_append(&mut self, rec: MenciusLogRec) {
-            self.log.push(rec);
-        }
-        fn log_rewrite(&mut self, recs: Vec<MenciusLogRec>) {
-            self.log = recs;
-        }
-        fn commit(&mut self, c: Committed) -> Bytes {
-            let result = c.cmd.payload.clone();
-            self.executed.push(c.cmd.id.seq);
-            self.commits.push(c);
-            result
-        }
-        fn set_timer(&mut self, _after: Micros, _token: TimerToken) {}
-        fn sm_snapshot(&mut self) -> Option<Bytes> {
-            if !self.snapshots {
-                return None;
-            }
-            let mut buf = Vec::new();
-            for s in &self.executed {
-                buf.extend_from_slice(&s.to_be_bytes());
-            }
-            Some(Bytes::from(buf))
-        }
-        fn sm_install(&mut self, snapshot: Bytes) -> bool {
-            if !self.snapshots {
-                return false;
-            }
-            self.executed = snapshot
-                .chunks(8)
-                .map(|c| u64::from_be_bytes(c.try_into().expect("8-byte chunks")))
-                .collect();
-            true
-        }
-        fn sm_read(&mut self, _cmd: &Command) -> Option<Bytes> {
-            self.serve_reads
-                .then(|| Bytes::from(self.executed.len().to_be_bytes().to_vec()))
-        }
-        fn send_reply(&mut self, reply: Reply) {
-            self.read_replies.push(reply);
-        }
-    }
+    type TestCtx = rsm_core::testing::TestCtx<MenciusBcast>;
 
     fn cmd(seq: u64) -> Command {
         Command::new(
@@ -1466,7 +1379,7 @@ mod tests {
         // Arc-backed command vector with the submitted batch instead of
         // deep-copying it per destination.
         let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         let batch = Batch::new((1..=64).map(cmd).collect());
         m.on_client_batch(batch.clone(), &mut ctx);
         let proposes: Vec<&Batch> = ctx
@@ -1489,7 +1402,7 @@ mod tests {
     #[test]
     fn proposer_uses_own_slots_in_order() {
         let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         m.on_client_request(cmd(1), &mut ctx);
         m.on_client_request(cmd(2), &mut ctx);
         let slots: Vec<u64> = ctx
@@ -1515,7 +1428,7 @@ mod tests {
     #[test]
     fn batched_proposal_strides_own_slots_with_one_message() {
         let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         m.on_client_batch(Batch::new(vec![cmd(1), cmd(2), cmd(3)]), &mut ctx);
         let proposes: Vec<(u64, usize)> = ctx
             .sends
@@ -1551,7 +1464,7 @@ mod tests {
     #[test]
     fn ack_carries_skip_promise_and_advances_own_slot() {
         let mut m = MenciusBcast::new(r(2), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         // r0 proposes slot 3 (its second slot); r2 must skip its slot 2.
         propose(&mut m, &mut ctx, 3, cmd(1), r(0));
         let (_, ack) = ctx
@@ -1574,7 +1487,7 @@ mod tests {
     #[test]
     fn slot_zero_commits_with_majority_and_no_predecessors() {
         let mut m = MenciusBcast::new(r(0), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         propose(&mut m, &mut ctx, 0, cmd(1), r(0));
         ack(&mut m, &mut ctx, r(0), 0, 3);
         assert!(ctx.commits.is_empty());
@@ -1589,7 +1502,7 @@ mod tests {
         // sits in slot 3 and needs r1's and r2's promises covering slots
         // 1 and 2.
         let mut m = MenciusBcast::new(r(0), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         propose(&mut m, &mut ctx, 0, cmd(1), r(0));
         propose(&mut m, &mut ctx, 3, cmd(2), r(0));
         // Majority acks for both slots from r0 (self) and r1.
@@ -1613,7 +1526,7 @@ mod tests {
         // concurrent slot-0 command is still short of a majority: slot 1
         // must wait (the delayed-commit problem).
         let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         propose(&mut m, &mut ctx, 0, cmd(1), r(0));
         propose(&mut m, &mut ctx, 1, cmd(2), r(1));
         ack(&mut m, &mut ctx, r(1), 1, 4);
@@ -1632,7 +1545,7 @@ mod tests {
         // r2 receives r0's slots 0 and 3 and acks only once for slot 3:
         // the watermark must count for slot 0 as well.
         let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         propose(&mut m, &mut ctx, 0, cmd(1), r(0));
         propose(&mut m, &mut ctx, 3, cmd(2), r(0));
         // One cumulative ack per replica, watermark at slot 3.
@@ -1647,7 +1560,7 @@ mod tests {
     #[test]
     fn skipped_slots_resolve_without_commands() {
         let mut m = MenciusBcast::new(r(2), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         // r1 proposes in its slot 4; everyone skips 0..4.
         propose(&mut m, &mut ctx, 4, cmd(1), r(1));
         ack(&mut m, &mut ctx, r(0), 4, 6); // r0 skips 0 and 3
@@ -1672,7 +1585,7 @@ mod tests {
         // slot 0; the replica must fall back to vouching only for its
         // own slots (still carrying the skip promise).
         let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         m.on_recover(&[], &mut ctx);
         propose(&mut m, &mut ctx, 3, cmd(2), r(0));
         let acks: Vec<(u64, u64)> = ctx
@@ -1715,7 +1628,7 @@ mod tests {
         // gap is globally decided, so cumulative coverage of r0 becomes
         // truthful again and full acks resume.
         let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         m.on_recover(&[], &mut ctx);
         propose(&mut m, &mut ctx, 3, cmd(1), r(0));
         // Unsynced: the ack references r1's own slots, not slot 3.
@@ -1775,10 +1688,10 @@ mod tests {
         // It queries r0, which retransmits from its retained history, and
         // r1 commits the same command everyone else executed.
         let mut owner = MenciusBcast::new(r(0), Membership::uniform(3));
-        let mut owner_ctx = TestCtx::new();
+        let mut owner_ctx = TestCtx::new(0);
         owner.on_client_request(cmd(7), &mut owner_ctx); // fills slot 0
         let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         m.on_recover(&[], &mut ctx);
         // r0's next batch is the first thing r1 hears: its floor now
         // covers slot 0, which the old code skipped locally.
@@ -1840,7 +1753,7 @@ mod tests {
     #[test]
     fn lost_gap_request_is_retried_when_the_owner_is_heard_from() {
         let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         m.on_recover(&[], &mut ctx);
         propose(&mut m, &mut ctx, 3, cmd(1), r(0));
         let count_reqs = |ctx: &TestCtx| {
@@ -1878,7 +1791,7 @@ mod tests {
     #[test]
     fn own_history_is_capped_and_capped_ranges_never_confirm_emptiness() {
         let mut owner = MenciusBcast::new(r(0), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         for s in 0..(MAX_OWN_HISTORY as u64 + 8) {
             owner.on_client_request(cmd(s), &mut ctx);
         }
@@ -1886,7 +1799,7 @@ mod tests {
         assert!(owner.history_floor > 0, "cap must advance the floor");
         // A request reaching below the retention floor is answered with
         // a clamped range…
-        let mut reply_ctx = TestCtx::new();
+        let mut reply_ctx = TestCtx::new(0);
         owner.on_message(
             r(1),
             MenciusMsg::GapRequest {
@@ -1910,7 +1823,7 @@ mod tests {
         // …and the requester refuses to treat it as proof of emptiness
         // at its cursor: the capped-out slot 0 may have held a command.
         let mut m = MenciusBcast::new(r(1), Membership::uniform(3));
-        let mut mctx = TestCtx::new();
+        let mut mctx = TestCtx::new(0);
         m.on_recover(&[], &mut mctx);
         ack(&mut m, &mut mctx, r(0), 0, owner.next_own_slot);
         m.on_message(r(0), fill, &mut mctx);
@@ -2086,7 +1999,7 @@ mod tests {
                 origin: r(0),
             },
         ];
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         m.on_recover(&log, &mut ctx);
         assert_eq!(ctx.commits.len(), 1);
         assert_eq!(m.resolved(), 3);
@@ -2106,7 +2019,7 @@ mod tests {
             cmd: cmd(1),
             origin: r(0),
         }];
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         m.on_recover(&log, &mut ctx);
         assert_eq!(m.next_own_slot, 3, "slot 0 was seen; next own slot is 3");
         // A genuinely empty log is a fresh start from the replica's own
@@ -2127,7 +2040,7 @@ mod tests {
     #[test]
     fn read_probes_a_majority_and_parks_on_the_max_mark() {
         let mut m = MenciusBcast::new(r(0), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         // Slot 1 (owned by r1) is logged here but unresolved.
         propose(&mut m, &mut ctx, 1, cmd(11), r(1));
         ctx.sends.clear();
@@ -2174,7 +2087,7 @@ mod tests {
     #[test]
     fn any_replica_answers_read_probes_with_its_log_top() {
         let mut m = MenciusBcast::new(r(2), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         propose(&mut m, &mut ctx, 4, cmd(9), r(1));
         ctx.sends.clear();
         m.on_message(
@@ -2206,7 +2119,7 @@ mod tests {
         // and wait out the proposal's full commit round; per-owner marks
         // let the owner's answer exclude it.
         let mut m = MenciusBcast::new(r(0), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         propose(&mut m, &mut ctx, 1, cmd(11), r(1));
         ctx.sends.clear();
         m.on_client_read(read(9), &mut ctx);
@@ -2234,7 +2147,7 @@ mod tests {
     #[test]
     fn read_falls_back_to_replication_without_sm_access() {
         let mut m = MenciusBcast::new(r(0), Membership::uniform(3));
-        let mut ctx = TestCtx::new();
+        let mut ctx = TestCtx::new(0);
         ctx.serve_reads = false;
         m.on_client_read(read(4), &mut ctx);
         m.on_message(

@@ -6,37 +6,15 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use mencius::{MenciusBcast, MenciusLogRec, MenciusMsg};
+use mencius::{MenciusBcast, MenciusMsg};
 use proptest::prelude::*;
-use rsm_core::command::{Command, CommandId, Committed};
+use rsm_core::command::{Command, CommandId};
 use rsm_core::config::Membership;
 use rsm_core::id::{ClientId, ReplicaId};
-use rsm_core::protocol::{Context, Protocol, TimerToken};
-use rsm_core::time::Micros;
+use rsm_core::protocol::Protocol;
+use rsm_core::testing::TestCtx;
 
-struct PumpCtx {
-    clock: Micros,
-    sends: Vec<(ReplicaId, MenciusMsg)>,
-    commits: Vec<Committed>,
-}
-
-impl Context<MenciusBcast> for PumpCtx {
-    fn clock(&mut self) -> Micros {
-        self.clock += 1;
-        self.clock
-    }
-    fn send(&mut self, to: ReplicaId, msg: MenciusMsg) {
-        self.sends.push((to, msg));
-    }
-    fn log_append(&mut self, _rec: MenciusLogRec) {}
-    fn log_rewrite(&mut self, _recs: Vec<MenciusLogRec>) {}
-    fn commit(&mut self, c: Committed) -> Bytes {
-        let result = c.cmd.payload.clone();
-        self.commits.push(c);
-        result
-    }
-    fn set_timer(&mut self, _after: Micros, _token: TimerToken) {}
-}
+type PumpCtx = TestCtx<MenciusBcast>;
 
 struct Pump {
     n: usize,
@@ -52,13 +30,7 @@ impl Pump {
             replicas: (0..n)
                 .map(|i| MenciusBcast::new(ReplicaId::new(i as u16), Membership::uniform(n as u16)))
                 .collect(),
-            ctxs: (0..n)
-                .map(|_| PumpCtx {
-                    clock: 0,
-                    sends: Vec::new(),
-                    commits: Vec::new(),
-                })
-                .collect(),
+            ctxs: (0..n).map(|_| PumpCtx::new(0)).collect(),
             links: vec![vec![VecDeque::new(); n]; n],
         }
     }

@@ -4,95 +4,8 @@ use bytes::Bytes;
 use rsm_core::command::CommandId;
 use rsm_core::id::ClientId;
 use rsm_core::read::ReadRequest;
-use rsm_core::time::Micros;
 
-struct TestCtx {
-    sends: Vec<(ReplicaId, PaxosMsg)>,
-    commits: Vec<Committed>,
-    log: Vec<PaxosLogRec>,
-    clock: Micros,
-    /// Executed command seqs — a trivial state machine for snapshot
-    /// tests; `snapshots` gates whether the driver supports them.
-    executed: Vec<u64>,
-    snapshots: bool,
-    /// Replies routed via `send_reply` (served local reads).
-    read_replies: Vec<Reply>,
-    /// Whether `sm_read` answers (false models a driver without state
-    /// machine access, forcing the replicated fallback).
-    serve_reads: bool,
-}
-
-impl TestCtx {
-    fn new() -> Self {
-        TestCtx {
-            sends: Vec::new(),
-            commits: Vec::new(),
-            log: Vec::new(),
-            clock: 0,
-            executed: Vec::new(),
-            snapshots: false,
-            read_replies: Vec::new(),
-            serve_reads: true,
-        }
-    }
-
-    fn with_snapshots() -> Self {
-        TestCtx {
-            snapshots: true,
-            ..TestCtx::new()
-        }
-    }
-}
-
-impl Context<MultiPaxos> for TestCtx {
-    fn clock(&mut self) -> Micros {
-        self.clock += 1;
-        self.clock
-    }
-    fn send(&mut self, to: ReplicaId, msg: PaxosMsg) {
-        self.sends.push((to, msg));
-    }
-    fn log_append(&mut self, rec: PaxosLogRec) {
-        self.log.push(rec);
-    }
-    fn log_rewrite(&mut self, recs: Vec<PaxosLogRec>) {
-        self.log = recs;
-    }
-    fn commit(&mut self, c: Committed) -> Bytes {
-        let result = c.cmd.payload.clone();
-        self.executed.push(c.cmd.id.seq);
-        self.commits.push(c);
-        result
-    }
-    fn set_timer(&mut self, _after: Micros, _token: TimerToken) {}
-    fn sm_snapshot(&mut self) -> Option<Bytes> {
-        if !self.snapshots {
-            return None;
-        }
-        let mut buf = Vec::new();
-        for s in &self.executed {
-            buf.extend_from_slice(&s.to_be_bytes());
-        }
-        Some(Bytes::from(buf))
-    }
-    fn sm_install(&mut self, snapshot: Bytes) -> bool {
-        if !self.snapshots {
-            return false;
-        }
-        self.executed = snapshot
-            .chunks(8)
-            .map(|c| u64::from_be_bytes(c.try_into().expect("8-byte chunks")))
-            .collect();
-        true
-    }
-    fn sm_read(&mut self, _cmd: &Command) -> Option<Bytes> {
-        self.serve_reads
-            .then(|| Bytes::from(self.executed.len().to_be_bytes().to_vec()))
-    }
-    fn send_reply(&mut self, reply: Reply) {
-        self.read_replies.push(reply);
-    }
-}
+type TestCtx = rsm_core::testing::TestCtx<MultiPaxos>;
 
 fn cmd(seq: u64) -> Command {
     Command::new(
@@ -161,7 +74,7 @@ fn prepares(ctx: &TestCtx) -> Vec<Ballot> {
 #[test]
 fn follower_forwards_to_leader() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_client_request(cmd(1), &mut ctx);
     assert_eq!(ctx.sends.len(), 1);
     assert_eq!(ctx.sends[0].0, r(0));
@@ -171,7 +84,7 @@ fn follower_forwards_to_leader() {
 #[test]
 fn leader_assigns_consecutive_instances() {
     let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_client_request(cmd(1), &mut ctx);
     p.on_client_request(cmd(2), &mut ctx);
     let firsts: Vec<u64> = ctx
@@ -191,7 +104,7 @@ fn leader_assigns_consecutive_instances() {
 #[test]
 fn leader_binds_a_batch_to_one_instance_run() {
     let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_client_batch(Batch::new(vec![cmd(1), cmd(2), cmd(3)]), &mut ctx);
     let accepts: Vec<(u64, usize)> = ctx
         .sends
@@ -217,7 +130,7 @@ fn accept_fanout_shares_the_batch_payload_across_peers() {
     // one Arc-backed command vector with the submitted batch instead of
     // deep-copying it per destination.
     let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     let batch = Batch::new((1..=64).map(cmd).collect());
     p.on_client_batch(batch.clone(), &mut ctx);
     let accepts: Vec<&Batch> = ctx
@@ -240,7 +153,7 @@ fn accept_fanout_shares_the_batch_payload_across_peers() {
 #[test]
 fn bcast_commits_on_majority_acks() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_message(r(0), accept(b0(), 0, vec![cmd(1)], r(0)), &mut ctx);
     // Logged and broadcast its own cumulative 2b.
     assert_eq!(ctx.log.len(), 1);
@@ -261,7 +174,7 @@ fn bcast_commits_on_majority_acks() {
 #[test]
 fn one_ack_covers_a_whole_batch() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_message(
         r(0),
         accept(b0(), 0, vec![cmd(1), cmd(2), cmd(3)], r(0)),
@@ -288,7 +201,7 @@ fn one_ack_covers_a_whole_batch() {
 #[test]
 fn plain_follower_waits_for_commit_message() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Plain);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_message(r(0), accept(b0(), 0, vec![cmd(1)], r(2)), &mut ctx);
     // 2b goes to the leader only.
     let (to, _) = ctx
@@ -315,7 +228,7 @@ fn plain_follower_waits_for_commit_message() {
 #[test]
 fn plain_leader_broadcasts_commit_on_majority() {
     let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Plain);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     // propose() self-delivers the Accept synchronously: the run is
     // logged and the leader's own Accepted is already in flight.
     p.on_client_request(cmd(1), &mut ctx);
@@ -332,7 +245,7 @@ fn plain_leader_broadcasts_commit_on_majority() {
 #[test]
 fn execution_is_in_instance_order_despite_commit_reorder() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     for i in 0..2 {
         p.on_message(r(0), accept(b0(), i, vec![cmd(i)], r(0)), &mut ctx);
     }
@@ -357,7 +270,7 @@ fn recovered_replica_never_acks_across_a_gap() {
     // Its cumulative ack must stay at the gap — claiming 5..8 would
     // falsely vouch for the lost 2..5 and break quorum intersection.
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     let log = vec![
         PaxosLogRec::Accept {
             instance: 0,
@@ -401,7 +314,7 @@ fn late_accept_fills_an_already_committed_instance_and_executes() {
     // commit watermark covers instance 0 before its command arrives.
     // The late Accept must trigger execution — nothing else retries.
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_message(r(0), acked(b0(), 1), &mut ctx);
     p.on_message(r(2), acked(b0(), 1), &mut ctx);
     assert!(ctx.commits.is_empty(), "command not yet known");
@@ -418,7 +331,7 @@ fn recovered_replica_resumes_acking_once_the_gap_commits() {
     // evidence — the replica's watermark may jump and it resumes
     // quorum duty for new instances.
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Plain);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     let log = vec![PaxosLogRec::Accept {
         instance: 0,
         ballot: b0(),
@@ -456,11 +369,11 @@ fn leader_recovery_never_reuses_instances() {
     // new commands — followers may have logged or committed the
     // originals, and a re-proposal would fork execution.
     let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_client_batch(Batch::new(vec![cmd(1), cmd(2)]), &mut ctx);
     assert_eq!(ctx.log.len(), 2, "run logged before any network round-trip");
     let mut p2 = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx2 = TestCtx::new();
+    let mut ctx2 = TestCtx::new(0);
     p2.on_recover(&ctx.log, &mut ctx2);
     p2.on_client_request(cmd(3), &mut ctx2);
     let firsts: Vec<u64> = ctx2
@@ -486,7 +399,7 @@ fn recovered_replica_reextends_watermark_past_a_committed_gap_under_load() {
     // watermark must also re-extend when commits advance past the
     // gap, or B acks up_to=1 forever and never rejoins quorums.
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     let log = vec![PaxosLogRec::Accept {
         instance: 0,
         ballot: b0(),
@@ -669,7 +582,7 @@ fn stale_state_reply_is_ignored() {
 #[test]
 fn recovery_replays_committed_prefix() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     let log = vec![
         PaxosLogRec::Accept {
             instance: 0,
@@ -707,7 +620,7 @@ fn stale_ballot_accept_from_deposed_leader_is_rejected() {
     // log it, not ack it.
     let mut p = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     p.on_message(r(0), accept(b0(), 0, vec![cmd(1)], r(0)), &mut ctx);
     assert_eq!(ctx.log.len(), 1);
@@ -753,7 +666,7 @@ fn stale_ballot_accept_from_deposed_leader_is_rejected() {
 fn lease_expiry_starts_a_staggered_election() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     // Before the staggered timeout (400ms + 1×100ms for index 1): quiet.
     ctx.clock = 400_000;
@@ -771,7 +684,7 @@ fn lease_expiry_starts_a_staggered_election() {
 fn heartbeat_renews_the_lease() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     ctx.clock = 450_000;
     p.on_message(
@@ -796,7 +709,7 @@ fn heartbeat_renews_the_lease() {
 fn leader_heartbeats_when_idle() {
     let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     p.on_timer(TOKEN_LEASE, &mut ctx);
     let heartbeats = ctx
@@ -811,7 +724,7 @@ fn leader_heartbeats_when_idle() {
 fn promise_reports_the_accepted_suffix_with_ballots() {
     let mut p = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     p.on_message(
         r(0),
@@ -858,7 +771,7 @@ fn promise_reports_the_accepted_suffix_with_ballots() {
 fn election_win_merges_highest_ballot_and_noops_holes() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     ctx.clock = 600_000;
     p.on_timer(TOKEN_LEASE, &mut ctx);
@@ -959,7 +872,7 @@ fn election_win_merges_highest_ballot_and_noops_holes() {
 fn repair_supersedes_stale_acceptances_and_drops_the_uncommitted_tail() {
     let mut p = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     // Old-regime acceptances at instances 0 and 3 (1 and 2 lost).
     p.on_message(r(0), accept(b0(), 0, vec![cmd(1)], r(0)), &mut ctx);
@@ -1023,7 +936,7 @@ fn repair_supersedes_stale_acceptances_and_drops_the_uncommitted_tail() {
 fn deposed_leader_steps_down_on_nack_and_forwards() {
     let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     p.on_client_request(cmd(1), &mut ctx);
     assert!(p.is_leader());
@@ -1038,7 +951,7 @@ fn deposed_leader_steps_down_on_nack_and_forwards() {
     // old regime's proposer role at the stale ballot.
     let mut p2 = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx2 = TestCtx::new();
+    let mut ctx2 = TestCtx::new(0);
     p2.on_recover(&ctx.log, &mut ctx2);
     assert_eq!(p2.promised(), b(3, 1));
     assert!(!p2.is_leader());
@@ -1048,7 +961,7 @@ fn deposed_leader_steps_down_on_nack_and_forwards() {
 fn dueling_candidate_defers_to_a_higher_ballot() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     ctx.clock = 600_000;
     p.on_timer(TOKEN_LEASE, &mut ctx);
@@ -1082,7 +995,7 @@ fn candidacy_round_is_durable_before_the_prepare_leaves() {
     // window propose() closes), not via the async self-sent Prepare.
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     ctx.clock = 600_000;
     p.on_timer(TOKEN_LEASE, &mut ctx);
@@ -1097,7 +1010,7 @@ fn candidacy_round_is_durable_before_the_prepare_leaves() {
     // candidacy outbids its own lost one.
     let mut p2 = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx2 = TestCtx::new();
+    let mut ctx2 = TestCtx::new(0);
     p2.on_recover(&ctx.log, &mut ctx2);
     p2.on_start(&mut ctx2);
     ctx2.clock = 600_000;
@@ -1113,7 +1026,7 @@ fn candidacy_round_is_durable_before_the_prepare_leaves() {
 fn candidate_retries_at_a_higher_round() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     ctx.clock = 600_000;
     p.on_timer(TOKEN_LEASE, &mut ctx);
@@ -1132,7 +1045,7 @@ fn acks_from_an_older_regime_are_never_counted() {
     // one: the sender's prefix may hold superseded values.
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     p.on_message(r(0), accept(b0(), 0, vec![cmd(1)], r(0)), &mut ctx);
     // Election: r1 wins at (1, r1) with an empty merge except r2's
@@ -1230,7 +1143,7 @@ fn recovered_suffix_is_not_executed_under_a_newer_regime_until_revalidated() {
     // re-proposal (or a checkpoint install) is what re-validates it.
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     let log = vec![PaxosLogRec::Accept {
         instance: 0,
         ballot: b0(),
@@ -1272,7 +1185,7 @@ fn recovered_suffix_still_executes_under_its_own_regime() {
     // keeps working with fail-over enabled.
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     let log = vec![PaxosLogRec::Accept {
         instance: 0,
         ballot: b0(),
@@ -1299,7 +1212,7 @@ fn vouch_gap_requests_leader_fill_and_resumes_acking() {
     // and, before leader retransmission existed, the cluster deadlocked
     // (no survivor could ever vouch across the hole).
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_recover(&[], &mut ctx);
     p.on_message(r(0), accept(b0(), 3, vec![cmd(4)], r(0)), &mut ctx);
     let fills: Vec<(ReplicaId, u64, u64)> = ctx
@@ -1351,7 +1264,7 @@ fn vouch_gap_requests_leader_fill_and_resumes_acking() {
 #[test]
 fn leader_serves_fill_from_pending_instances() {
     let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_client_batch(Batch::new(vec![cmd(1), cmd(2), cmd(3), cmd(4)]), &mut ctx);
     ctx.sends.clear();
     p.on_message(
@@ -1389,7 +1302,7 @@ fn leader_serves_fill_from_pending_instances() {
 fn client_batches_buffered_during_candidacy_are_proposed_on_victory() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     ctx.clock = 600_000;
     p.on_timer(TOKEN_LEASE, &mut ctx);
@@ -1467,7 +1380,7 @@ fn commit_one_at_leader(p: &mut MultiPaxos, ctx: &mut TestCtx, seq: u64) {
 #[test]
 fn fixed_leader_serves_reads_locally_without_wire_traffic() {
     let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     commit_one_at_leader(&mut p, &mut ctx, 1);
     ctx.sends.clear();
     p.on_client_read(read(7), &mut ctx);
@@ -1492,7 +1405,7 @@ fn bcast_leader_read_waits_out_its_proposed_tail() {
     // leader's read index is its log top: a read behind an uncommitted
     // proposal waits for that proposal to commit and execute.
     let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     commit_one_at_leader(&mut p, &mut ctx, 1);
     // Propose another command; not yet acked by a majority.
     p.on_client_batch(Batch::new(vec![cmd(2)]), &mut ctx);
@@ -1517,7 +1430,7 @@ fn plain_leader_read_serves_at_the_commit_watermark_despite_a_tail() {
     // visible above its commit watermark, so an uncommitted tail does
     // not delay leader reads.
     let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Plain);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_client_batch(Batch::new(vec![cmd(1)]), &mut ctx);
     p.on_message(r(0), acked(b0(), 1), &mut ctx); // looped-back self ack
     p.on_message(r(1), acked(b0(), 1), &mut ctx);
@@ -1536,7 +1449,7 @@ fn plain_leader_read_serves_at_the_commit_watermark_despite_a_tail() {
 fn failover_leader_without_regime_evidence_probes_instead_of_serving() {
     let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     // No Accepted/ReadMark at our regime has arrived: the read lease is
     // unearned and the leader must nack its own fast path.
     p.on_client_read(read(1), &mut ctx);
@@ -1554,7 +1467,7 @@ fn failover_leader_without_regime_evidence_probes_instead_of_serving() {
 fn failover_leader_with_fresh_majority_evidence_reads_locally() {
     let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     commit_one_at_leader(&mut p, &mut ctx, 1);
     // The two Accepted messages above are regime evidence from r1 and
     // r2, well within timeout/2 of the current clock.
@@ -1575,7 +1488,7 @@ fn failover_leader_with_fresh_majority_evidence_reads_locally() {
 #[test]
 fn follower_quorum_read_parks_on_the_max_mark_until_executed() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     // The follower logs instance 0 (not yet known committed).
     p.on_message(r(0), accept(b0(), 0, vec![cmd(1)], r(0)), &mut ctx);
     ctx.sends.clear();
@@ -1609,7 +1522,7 @@ fn follower_quorum_read_parks_on_the_max_mark_until_executed() {
 #[test]
 fn any_replica_answers_read_probes_with_its_log_top() {
     let mut p = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_message(r(0), accept(b0(), 0, vec![cmd(1), cmd(2)], r(0)), &mut ctx);
     ctx.sends.clear();
     p.on_message(r(1), PaxosMsg::ReadProbe(ReadRequest { seq: 42 }), &mut ctx);
@@ -1626,7 +1539,7 @@ fn any_replica_answers_read_probes_with_its_log_top() {
 #[test]
 fn read_falls_back_to_replication_without_sm_access() {
     let mut p = MultiPaxos::new(r(0), Membership::uniform(3), r(0), PaxosVariant::Bcast);
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     ctx.serve_reads = false;
     p.on_client_read(read(4), &mut ctx);
     assert!(ctx.read_replies.is_empty());
@@ -1645,7 +1558,7 @@ fn new_leader_reads_wait_out_the_repaired_suffix() {
     // must not be served below the repaired suffix top.
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     ctx.clock = 1_000_000;
     p.on_timer(TOKEN_LEASE, &mut ctx); // lease expired at start: campaign
     assert!(p.is_campaigning());
@@ -1714,7 +1627,7 @@ fn fresh_lease_acceptor_refuses_to_promise_a_new_ballot() {
     // followers and race the leader's read lease.
     let mut p = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     // Current-regime leader traffic renews the lease.
     p.on_message(r(0), accept(b0(), 0, vec![cmd(1)], r(0)), &mut ctx);
@@ -1756,7 +1669,7 @@ fn fresh_lease_acceptor_refuses_to_promise_a_new_ballot() {
 fn heartbeat_draws_a_cumulative_ack_as_lease_evidence() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     p.on_message(
         r(0),
@@ -1796,7 +1709,7 @@ fn prevotes(ctx: &TestCtx) -> Vec<Ballot> {
 fn prevote_expiry_probes_instead_of_preparing() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(prevote_lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     ctx.clock = 600_000; // past the staggered timeout for index 1
     p.on_timer(TOKEN_LEASE, &mut ctx);
@@ -1822,7 +1735,7 @@ fn prevote_answer_is_pure() {
     // mutates anything — promise, lease, log, or round counter.
     let mut p = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(prevote_lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     p.on_message(r(1), PaxosMsg::PreVote { ballot: b(1, 1) }, &mut ctx);
     assert!(
@@ -1860,7 +1773,7 @@ fn prevote_answer_is_pure() {
 fn stale_prevote_draws_a_nack() {
     let mut p = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(prevote_lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     ctx.clock += lease().timeout_us + 1;
     p.on_message(
@@ -1885,7 +1798,7 @@ fn stale_prevote_draws_a_nack() {
 fn prevote_majority_escalates_to_a_real_election() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(prevote_lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     ctx.clock = 600_000;
     p.on_timer(TOKEN_LEASE, &mut ctx);
@@ -1907,7 +1820,7 @@ fn prevote_majority_escalates_to_a_real_election() {
 fn duplicate_grants_do_not_make_a_majority() {
     let mut p = MultiPaxos::new(r(1), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(prevote_lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     ctx.clock = 600_000;
     p.on_timer(TOKEN_LEASE, &mut ctx);
@@ -1929,7 +1842,7 @@ fn isolated_prevoter_burns_no_ballots_and_rejoins_quietly() {
     // Nacked.
     let mut p = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(prevote_lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     // Partitioned: many retry periods pass, every probe unanswered.
     for tick in 1..=20u64 {
@@ -1974,7 +1887,7 @@ fn isolated_prevoter_burns_no_ballots_and_rejoins_quietly() {
 fn prevote_stands_down_when_outbid_by_a_real_candidacy() {
     let mut p = MultiPaxos::new(r(2), Membership::uniform(3), r(0), PaxosVariant::Bcast)
         .with_failover(prevote_lease());
-    let mut ctx = TestCtx::new();
+    let mut ctx = TestCtx::new(0);
     p.on_start(&mut ctx);
     ctx.clock = 800_000; // past the index-2 stagger
     p.on_timer(TOKEN_LEASE, &mut ctx);

@@ -1,10 +1,11 @@
-//! A bounded, blocking MPSC queue.
+//! A bounded, blocking MPSC queue with a lock-free depth gauge.
 //!
-//! The crossbeam shim's `bounded()` never blocks (its bound is
-//! advisory), but outbound link queues need real backpressure: a sender
-//! that outruns a peer's socket must stall, never drop, because every
-//! protocol here assumes gap-free FIFO links. This queue is the minimal
-//! mutex + two-condvar implementation of exactly that.
+//! Outbound link queues need real backpressure: a sender that outruns a
+//! peer's socket must stall, never drop, because every protocol here
+//! assumes gap-free FIFO links. `std::sync::mpsc::sync_channel` would
+//! block too, but its length cannot be read from outside, and admission
+//! control and the metrics registry both sample it. This queue is the
+//! minimal mutex + two-condvar implementation of exactly that.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};

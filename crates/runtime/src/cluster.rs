@@ -2,18 +2,18 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Sender};
-use parking_lot::Mutex;
 
 use rsm_core::batch::BatchPolicy;
 use rsm_core::command::{Command, CommandId, Reply};
 use rsm_core::id::{ClientId, ReplicaId};
 use rsm_core::matrix::LatencyMatrix;
+use rsm_core::node::NodeCore;
 use rsm_core::obs::{span_key, TraceStage};
 use rsm_core::protocol::Protocol;
 use rsm_core::session::ClientSession;
@@ -23,7 +23,7 @@ use rsm_obs::{gauge_max, Gauge, MetricsSnapshot, NodeObs, ObsConfig, Registry, T
 use rsm_transport::{Endpoint, Hub, Listener, TransportMetrics};
 
 use crate::net::{run_network, NetInput, Wire};
-use crate::node::{NodeHarness, NodeInput, NodeReport, Outbound, ReplyBatch};
+use crate::node::{inbox, InboxTx, NodeHarness, NodeInput, NodeReport, Outbound, WallClock};
 
 /// How replica threads exchange protocol messages.
 ///
@@ -206,7 +206,7 @@ impl ClusterConfig {
 /// A running cluster of replica threads plus the WAN-emulating network
 /// thread and a reply router. See the crate-level example.
 pub struct Cluster<P: Protocol + Send + 'static> {
-    node_txs: Vec<Sender<NodeInput<P>>>,
+    node_txs: Vec<InboxTx<P::Msg>>,
     net_tx: Option<Sender<NetInput<P::Msg>>>,
     pending: Arc<Mutex<PendingMap>>,
     node_handles: Vec<JoinHandle<NodeReport>>,
@@ -231,7 +231,7 @@ pub struct Cluster<P: Protocol + Send + 'static> {
 
 /// A parked waiter for one in-flight command's reply.
 struct PendingReply {
-    tx: Sender<Reply>,
+    tx: SyncSender<Reply>,
     /// When the waiter stops listening; expired entries are swept once
     /// the map grows past [`PENDING_SWEEP_MIN`].
     expires: Instant,
@@ -255,15 +255,15 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
         let epoch = cfg.epoch.unwrap_or_else(Instant::now);
         let registry = cfg.observe.map(|_| Registry::new());
         let tracer = cfg.observe.map(Tracer::new);
-        // Nodes ship reply *batches*: one channel send per drained
-        // protocol callback, however many co-located clients it answered.
-        let (reply_tx, reply_rx) = unbounded::<ReplyBatch>();
+        // Nodes ship reply *batches*: one channel send per step, however
+        // many co-located clients it answered.
+        let (reply_tx, reply_rx) = channel();
 
         let mut node_txs = Vec::with_capacity(n);
         let mut node_handles = Vec::with_capacity(n);
         let mut inbox_rxs = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded::<NodeInput<P>>();
+            let (tx, rx) = inbox();
             node_txs.push(tx);
             inbox_rxs.push(rx);
         }
@@ -278,31 +278,15 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
         let mut listeners = Vec::new();
         match cfg.transport {
             ClusterTransport::InProcess => {
-                let (tx, net_rx) = unbounded();
-                // The network thread forwards wires into node inboxes via
-                // dedicated channels (a node input is either a wire or a
-                // control).
-                let mut wire_txs = Vec::with_capacity(n);
-                #[allow(clippy::needless_range_loop)] // i pairs channels with replica ids
-                for i in 0..n {
-                    let (wtx, wrx) = unbounded();
-                    wire_txs.push(wtx);
-                    // Bridge thread: wrap wires as NodeInput::Msg.
-                    let node_tx = node_txs[i].clone();
-                    std::thread::spawn(move || {
-                        while let Ok(w) = wrx.recv() {
-                            if node_tx.send(NodeInput::Msg(w)).is_err() {
-                                return;
-                            }
-                        }
-                    });
-                }
+                let (tx, net_rx) = channel();
+                // The network thread delivers straight into node inboxes.
+                let inboxes = node_txs.clone();
                 let latency = cfg.latency.clone();
                 let scale = cfg.scale;
                 net_handle = Some(
                     std::thread::Builder::new()
                         .name("wan-emulator".to_string())
-                        .spawn(move || run_network(latency, scale, net_rx, wire_txs))
+                        .spawn(move || run_network(latency, scale, net_rx, inboxes))
                         .expect("spawn network thread"),
                 );
                 outbounds = (0..n).map(|_| Outbound::Wan(tx.clone())).collect();
@@ -325,7 +309,7 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
                         None => TransportMetrics::default(),
                     };
                     let listener = Listener::bind_with_metrics(&ep, metrics, move |from, msg| {
-                        let _ = node_tx.send(NodeInput::Msg(Wire { from, to: id, msg }));
+                        node_tx.send(NodeInput::Msg(Wire { from, to: id, msg }));
                     })
                     .expect("bind cluster transport listener");
                     endpoints.push(listener.endpoint().clone());
@@ -339,7 +323,7 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
                     let mut hub: Hub<P::Msg> = Hub::new(
                         id,
                         Box::new(move |msg| {
-                            let _ = loop_tx.send(NodeInput::Msg(Wire {
+                            loop_tx.send(NodeInput::Msg(Wire {
                                 from: id,
                                 to: id,
                                 msg,
@@ -379,17 +363,18 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
         for ((i, inbox), outbound) in inbox_rxs.into_iter().enumerate().zip(outbounds) {
             let id = ReplicaId::new(i as u16);
             let harness = NodeHarness {
-                id,
-                proto: factory(id),
-                sm: sm_factory(),
-                log: Vec::new(),
+                core: NodeCore::new(
+                    factory(id),
+                    sm_factory(),
+                    WallClock::new(epoch, cfg.clock_offsets_us[i]),
+                    cfg.batch,
+                    registry.as_ref().map(|r| NodeObs::new(r.clone(), i as u16)),
+                    tracer.clone(),
+                ),
                 inbox,
                 outbound,
                 reply_tx: reply_tx.clone(),
                 epoch,
-                clock_offset_us: cfg.clock_offsets_us[i],
-                batch: cfg.batch,
-                obs: registry.as_ref().map(|r| NodeObs::new(r.clone(), i as u16)),
                 tracer: tracer.clone(),
                 poll_every: cfg.observe.map(|o| Duration::from_micros(o.poll_interval)),
             };
@@ -416,14 +401,16 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
                         // full. Read replies are a no-op here (reads are
                         // untraced, so no span was ever begun).
                         let at = epoch.elapsed().as_micros() as u64;
-                        for (id, _) in &batch {
-                            t.complete(span_key(*id), TraceStage::Replied.index(), at);
+                        for reply in &batch {
+                            t.complete(span_key(reply.id), TraceStage::Replied.index(), at);
                         }
                     }
-                    let mut pending = pending_for_router.lock();
-                    for (id, reply) in batch {
-                        if let Some(p) = pending.remove(&id) {
-                            let _ = p.tx.send(reply);
+                    let mut pending = pending_for_router.lock().unwrap();
+                    for reply in batch {
+                        if let Some(p) = pending.remove(&reply.id) {
+                            // The waiter's one-slot channel is empty: each
+                            // entry is answered at most once.
+                            let _ = p.tx.try_send(reply);
                         }
                     }
                 }
@@ -470,7 +457,7 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
 
     /// Submits a command to `site` without waiting for the reply.
     pub fn submit(&self, site: ReplicaId, cmd: Command) {
-        let _ = self.node_txs[site.index()].send(NodeInput::Request(cmd));
+        self.node_txs[site.index()].send(NodeInput::Request(cmd));
     }
 
     /// Crash-stops one replica: its thread exits immediately and every
@@ -482,7 +469,7 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
     /// recovery schedules live in the simnet suites. Commands submitted
     /// to a crashed site time out.
     pub fn crash(&self, site: ReplicaId) {
-        let _ = self.node_txs[site.index()].send(NodeInput::Stop);
+        self.node_txs[site.index()].send(NodeInput::Stop);
     }
 
     /// Submits an opaque state machine operation to `site` and blocks
@@ -601,13 +588,13 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
             self.check_admission(site)?;
         }
         let id = cmd.id;
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         self.insert_pending(id, tx, timeout);
         self.submit(site, cmd);
         match rx.recv_timeout(timeout) {
             Ok(reply) => Ok(reply),
             Err(_) => {
-                self.pending.lock().remove(&id);
+                self.pending.lock().unwrap().remove(&id);
                 Err(ExecuteError::Timeout)
             }
         }
@@ -644,7 +631,7 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
     /// Rejects a new command when `site`'s inbox or deepest outbound
     /// socket queue is past the high-water mark.
     fn check_admission(&self, site: ReplicaId) -> Result<(), ExecuteError> {
-        if self.node_txs[site.index()].len() > self.admission_hwm
+        if self.node_txs[site.index()].depth() > self.admission_hwm as i64
             || gauge_max(&self.outbound_depths[site.index()]) > self.admission_hwm as i64
         {
             return Err(ExecuteError::Busy);
@@ -656,9 +643,9 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
     /// is large: a waiter that disappeared without cleaning up (its
     /// entry was overwritten by a retry, or it panicked) must not leak
     /// its slot forever.
-    fn insert_pending(&self, id: CommandId, tx: Sender<Reply>, timeout: Duration) {
+    fn insert_pending(&self, id: CommandId, tx: SyncSender<Reply>, timeout: Duration) {
         let now = Instant::now();
-        let mut pending = self.pending.lock();
+        let mut pending = self.pending.lock().unwrap();
         if pending.len() >= PENDING_SWEEP_MIN {
             pending.retain(|_, p| p.expires > now);
         }
@@ -700,10 +687,11 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
         self.execute_with_retry(site, cmd, timeout)
     }
 
-    /// Stops every thread and returns the per-node final reports.
+    /// Stops every thread the cluster spawned, joins them, and returns
+    /// the per-node final reports.
     pub fn shutdown(mut self) -> Vec<NodeReport> {
         for tx in &self.node_txs {
-            let _ = tx.send(NodeInput::Stop);
+            tx.send(NodeInput::Stop);
         }
         // Joining the node threads drops their outbound halves: in
         // socket mode each hub's writer threads drain their queues,
@@ -724,10 +712,9 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
         for listener in &mut self.listeners {
             listener.stop();
         }
-        // Dropping node_txs/net_tx unblocks the bridge and router threads.
-        drop(self.node_txs);
-        drop(self.pending);
-        let _ = self.router_handle;
+        // The node threads held the only reply senders, so the router's
+        // channel is closed and it exits once it has routed the rest.
+        let _ = self.router_handle.join();
         reports
     }
 }

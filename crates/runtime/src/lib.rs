@@ -1,9 +1,12 @@
 //! # rsm-runtime
 //!
 //! A **threaded real-time runtime** for the sans-io protocol cores: one OS
-//! thread per replica, crossbeam channels as the transport, and a network
-//! thread that delays every message by the configured wide-area latency
-//! (optionally scaled down for fast tests).
+//! thread per replica, each running the same `rsm_core::node::NodeCore`
+//! the simulator runs, fed by a `std::sync::mpsc` inbox. Peer messages
+//! travel either through a network thread that delays every message by
+//! the configured wide-area latency (optionally scaled down for fast
+//! tests) and delivers it straight into the destination inbox, or over
+//! framed TCP/UDS sockets ([`ClusterTransport`]).
 //!
 //! The discrete-event simulator (`simnet`) is where all experiments run;
 //! this runtime exists to demonstrate that the *same* protocol
@@ -12,10 +15,13 @@
 //! design. The geo-replicated key-value store example (`geo_kvstore`)
 //! uses it as a live deployment on one machine.
 //!
-//! Like the simulator, the runtime coalesces queued client requests into
-//! protocol-level batches ([`ClusterConfig::batch_policy`]): a node
-//! thread drains whatever requests sit in its inbox (up to `max_batch`,
-//! never waiting for more) and hands them to the protocol as one batch.
+//! A node thread keeps only thread concerns: it waits on its inbox with
+//! a timeout for the next timer or observability poll, drains everything
+//! already queued into one `NodeCore::drain` step, and pushes the step's
+//! effects to the outbound link, its timer heap, and the reply router.
+//! Request coalescing ([`ClusterConfig::batch_policy`]), the adaptive
+//! controller's depth signal (the writes in each drain) and latency feed,
+//! and commit→reply routing are the core's, exactly as in the simulator.
 //!
 //! For scale-out, [`shard`] layers `N` independent clusters over one
 //! partitioned key space sharing a single clock epoch, with

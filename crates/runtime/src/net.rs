@@ -2,12 +2,13 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use rsm_core::id::ReplicaId;
 use rsm_core::matrix::LatencyMatrix;
+
+use crate::node::{InboxTx, NodeInput};
 
 /// A message travelling between replicas.
 #[derive(Debug)]
@@ -49,14 +50,14 @@ impl<M> Ord for InFlight<M> {
 }
 
 /// Runs the network loop: receives sends, holds each message for the
-/// link's one-way latency (scaled), then forwards it to the destination
-/// node's inbox. Per-link FIFO follows from constant latency plus the
-/// sequence tie-break.
+/// link's one-way latency (scaled), then delivers it straight into the
+/// destination node's inbox. Per-link FIFO follows from constant latency
+/// plus the sequence tie-break.
 pub(crate) fn run_network<M: Send + 'static>(
     latency: LatencyMatrix,
     scale: f64,
     rx: Receiver<NetInput<M>>,
-    inboxes: Vec<Sender<Wire<M>>>,
+    inboxes: Vec<InboxTx<M>>,
 ) {
     let mut heap: BinaryHeap<Reverse<InFlight<M>>> = BinaryHeap::new();
     let mut seq = 0u64;
@@ -67,7 +68,7 @@ pub(crate) fn run_network<M: Send + 'static>(
             let Reverse(flight) = heap.pop().expect("peeked");
             let to = flight.wire.to.index();
             // A dropped inbox means the node stopped; ignore.
-            let _ = inboxes[to].send(flight.wire);
+            inboxes[to].send(NodeInput::Msg(flight.wire));
         }
         // Wait for the next send or the next due time.
         let input = match heap.peek() {
@@ -103,14 +104,23 @@ pub(crate) fn run_network<M: Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use crate::node::inbox;
+    use std::sync::mpsc::channel;
+
+    fn msg(input: NodeInput<u32>) -> u32 {
+        match input {
+            NodeInput::Msg(wire) => wire.msg,
+            _ => panic!("expected a peer message"),
+        }
+    }
 
     #[test]
     fn delivers_with_delay_and_in_order() {
         let latency = LatencyMatrix::uniform(2, 20_000); // 20 ms one-way
-        let (tx, rx) = unbounded();
-        let (in0, out0) = unbounded();
-        let (in1, out1) = unbounded();
+        let (tx, rx) = channel();
+        let (in0, out0) = inbox();
+        let (in1, out1) = inbox();
+        let queued = in1.clone();
         let handle = std::thread::spawn(move || {
             run_network::<u32>(latency, 0.1, rx, vec![in0, in1]);
         });
@@ -125,12 +135,13 @@ mod tests {
         }
         let mut got = Vec::new();
         for _ in 0..5 {
-            got.push(out1.recv_timeout(Duration::from_secs(2)).unwrap().msg);
+            got.push(msg(out1.recv(Some(Duration::from_secs(2))).unwrap()));
         }
         let elapsed = start.elapsed();
         assert_eq!(got, vec![0, 1, 2, 3, 4], "FIFO per link");
         assert!(elapsed >= Duration::from_millis(2), "scaled 2 ms delay");
-        assert!(out0.is_empty());
+        assert!(out0.try_recv().is_none());
+        assert_eq!(queued.depth(), 0, "every delivery was received");
         tx.send(NetInput::Stop).unwrap();
         handle.join().unwrap();
     }
@@ -138,9 +149,9 @@ mod tests {
     #[test]
     fn stops_on_disconnect() {
         let latency = LatencyMatrix::uniform(2, 1_000);
-        let (tx, rx) = unbounded::<NetInput<u32>>();
-        let (in0, _out0) = unbounded();
-        let (in1, _out1) = unbounded();
+        let (tx, rx) = channel::<NetInput<u32>>();
+        let (in0, _out0) = inbox();
+        let (in1, _out1) = inbox();
         let handle = std::thread::spawn(move || {
             run_network::<u32>(latency, 1.0, rx, vec![in0, in1]);
         });

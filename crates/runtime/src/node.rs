@@ -1,21 +1,26 @@
-//! The per-replica node thread.
+//! The per-replica node thread: a [`NodeCore`] behind an inbox.
+//!
+//! The thread owns only what threads need: the inbox receiver, the timer
+//! heap, the observability poll interval, and the outbound halves that
+//! carry the core's [`Effects`] to peers and clients. Each wake-up drains
+//! everything queued in the inbox into one [`NodeCore::drain`] step, so
+//! the core sees the same shape of input the simulator gives it.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 
-use rsm_core::batch::{Batch, BatchController, BatchPolicy};
-use rsm_core::command::{Command, CommandId, Committed, Reply};
+use rsm_core::command::{Command, Reply};
 use rsm_core::id::ReplicaId;
-use rsm_core::obs::{names, span_key, TraceStage};
-use rsm_core::protocol::{Context, Protocol, TimerToken};
-use rsm_core::sm::StateMachine;
+use rsm_core::node::{Clock, Effects, Input, NodeCore};
+use rsm_core::obs::span_key;
+use rsm_core::protocol::{Protocol, TimerToken};
 use rsm_core::time::{Micros, MonotonicStamper};
 
-use rsm_obs::{NodeObs, Tracer};
+use rsm_obs::{Gauge, Tracer};
 use rsm_transport::MsgSink;
 
 use crate::net::{NetInput, Wire};
@@ -34,13 +39,86 @@ pub(crate) enum Outbound<P: Protocol> {
 }
 
 /// Input to a node thread.
-pub(crate) enum NodeInput<P: Protocol> {
-    /// A peer message delivered by the network thread.
-    Msg(Wire<P::Msg>),
+pub(crate) enum NodeInput<M> {
+    /// A peer message.
+    Msg(Wire<M>),
     /// A client request routed to this (local) replica.
     Request(Command),
     /// Graceful shutdown; the thread answers with its final report.
     Stop,
+}
+
+/// The sending half of a node's inbox. Every sender counts what it
+/// queues into a shared depth gauge and the node thread subtracts what
+/// it receives, so admission control reads the inbox depth without
+/// touching the channel.
+pub(crate) struct InboxTx<M> {
+    tx: Sender<NodeInput<M>>,
+    depth: Gauge,
+}
+
+impl<M> Clone for InboxTx<M> {
+    fn clone(&self) -> Self {
+        InboxTx {
+            tx: self.tx.clone(),
+            depth: self.depth.clone(),
+        }
+    }
+}
+
+impl<M> InboxTx<M> {
+    /// Queues `input`; false when the node thread has exited.
+    pub(crate) fn send(&self, input: NodeInput<M>) -> bool {
+        self.depth.add(1);
+        let sent = self.tx.send(input).is_ok();
+        if !sent {
+            self.depth.add(-1);
+        }
+        sent
+    }
+
+    /// Inputs queued and not yet received by the node thread.
+    pub(crate) fn depth(&self) -> i64 {
+        self.depth.get()
+    }
+}
+
+/// The receiving half of a node's inbox (see [`InboxTx`]).
+pub(crate) struct InboxRx<M> {
+    rx: Receiver<NodeInput<M>>,
+    depth: Gauge,
+}
+
+impl<M> InboxRx<M> {
+    /// Waits up to `timeout` (forever when `None`) for the next input.
+    pub(crate) fn recv(&self, timeout: Option<Duration>) -> Result<NodeInput<M>, RecvTimeoutError> {
+        let input = match timeout {
+            Some(t) => self.rx.recv_timeout(t)?,
+            None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected)?,
+        };
+        self.depth.add(-1);
+        Ok(input)
+    }
+
+    /// The next input if one is already queued.
+    pub(crate) fn try_recv(&self) -> Option<NodeInput<M>> {
+        let input = self.rx.try_recv().ok()?;
+        self.depth.add(-1);
+        Some(input)
+    }
+}
+
+/// A node inbox channel.
+pub(crate) fn inbox<M>() -> (InboxTx<M>, InboxRx<M>) {
+    let (tx, rx) = mpsc::channel();
+    let depth = Gauge::default();
+    (
+        InboxTx {
+            tx,
+            depth: depth.clone(),
+        },
+        InboxRx { rx, depth },
+    )
 }
 
 /// What a node reports when it stops.
@@ -56,253 +134,125 @@ pub struct NodeReport {
     pub log_len: usize,
 }
 
-/// A batch of replies to co-located clients, shipped as **one** channel
-/// send per drained protocol callback instead of one send per reply —
-/// the reply-path analogue of request batching.
-pub(crate) type ReplyBatch = Vec<(CommandId, Reply)>;
+/// The replies one step produced, shipped to the reply router as
+/// **one** channel send however many co-located clients it answered.
+pub(crate) type ReplyBatch = Vec<Reply>;
 
-/// Size at which the adaptive controller's drain-time map sheds entries
-/// older than [`REQ_DRAINED_MAX_AGE`] — commands that never produced a
-/// reply at this node (superseded, stale-dropped, retried) must not
-/// accumulate forever in a long-lived node thread.
-const REQ_DRAINED_CAP: usize = 4096;
+/// A replica's physical clock: microseconds since the cluster epoch plus
+/// the configured offset, made strictly monotonic. Read live, so time
+/// advances within a step the way it does on a real machine.
+pub(crate) struct WallClock {
+    epoch: Instant,
+    offset_us: i64,
+    stamper: MonotonicStamper,
+}
 
-/// Age past which an unanswered drain-time entry is presumed dead.
-const REQ_DRAINED_MAX_AGE: Duration = Duration::from_secs(30);
+impl WallClock {
+    pub(crate) fn new(epoch: Instant, offset_us: i64) -> Self {
+        WallClock {
+            epoch,
+            offset_us,
+            stamper: MonotonicStamper::new(),
+        }
+    }
+}
+
+impl Clock for WallClock {
+    fn read(&mut self, _now: Micros) -> Micros {
+        let elapsed = self.epoch.elapsed().as_micros() as i64;
+        self.stamper
+            .stamp((elapsed + self.offset_us).max(0) as Micros)
+    }
+}
 
 pub(crate) struct NodeHarness<P: Protocol> {
-    pub id: ReplicaId,
-    pub proto: P,
-    pub sm: Box<dyn StateMachine>,
-    pub log: Vec<P::LogRec>,
-    pub inbox: Receiver<NodeInput<P>>,
+    pub core: NodeCore<P, WallClock>,
+    pub inbox: InboxRx<P::Msg>,
     pub outbound: Outbound<P>,
     pub reply_tx: Sender<ReplyBatch>,
+    /// The cluster epoch. Step instants and trace stamps are monotonic
+    /// microseconds since it — the shared cross-node timeline, never the
+    /// per-node skewed protocol clock.
     pub epoch: Instant,
-    pub clock_offset_us: i64,
-    pub batch: BatchPolicy,
-    /// Metrics sink when the cluster observes (`ClusterConfig::observe`).
-    pub obs: Option<NodeObs>,
-    /// Span collector when the cluster observes. Trace stamps carry
-    /// **monotonic microseconds since the cluster epoch** — the shared
-    /// cross-node timeline — never the per-node skewed protocol clock.
+    /// Span collector when the cluster observes (the node opens each
+    /// write's span when it drains the request).
     pub tracer: Option<Tracer>,
     /// How often `Protocol::obs_poll` runs (from `ObsConfig`); `None`
     /// when not observing.
     pub poll_every: Option<Duration>,
 }
 
-struct NodeCtx<'a, P: Protocol> {
-    id: ReplicaId,
-    epoch: Instant,
-    clock_offset_us: i64,
-    stamper: &'a mut MonotonicStamper,
-    log: &'a mut Vec<P::LogRec>,
-    sm: &'a mut dyn StateMachine,
-    outbound: &'a mut Outbound<P>,
-    /// Replies buffered during one protocol callback; the harness
-    /// flushes them as one [`ReplyBatch`] when the callback returns.
-    replies: &'a mut ReplyBatch,
-    timers: &'a mut BinaryHeap<Reverse<(Instant, u64, TimerToken)>>,
-    timer_seq: &'a mut u64,
-    commit_count: &'a mut u64,
-    suppress_replies: bool,
-    obs: Option<&'a mut NodeObs>,
-    tracer: Option<&'a Tracer>,
-}
-
-impl<'a, P: Protocol> NodeCtx<'a, P> {
-    fn raw_clock(&self) -> Micros {
-        let elapsed = self.epoch.elapsed().as_micros() as i64;
-        (elapsed + self.clock_offset_us).max(0) as Micros
-    }
-
-    /// Monotonic micros since the cluster epoch — the trace-stamp
-    /// timeline. Unlike [`raw_clock`](NodeCtx::raw_clock) it carries no
-    /// per-node offset, so stamps from different replicas are
-    /// comparable.
-    fn mono_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-}
-
-impl<'a, P: Protocol> Context<P> for NodeCtx<'a, P> {
-    fn clock(&mut self) -> Micros {
-        let raw = self.raw_clock();
-        self.stamper.stamp(raw)
-    }
-
-    fn send(&mut self, to: ReplicaId, msg: P::Msg) {
-        match &mut *self.outbound {
-            Outbound::Wan(tx) => {
-                let _ = tx.send(NetInput::Send(Wire {
-                    from: self.id,
-                    to,
-                    msg,
-                }));
-            }
-            Outbound::Socket(sink) => sink.send_msg(to, msg),
-        }
-    }
-
-    fn log_append(&mut self, rec: P::LogRec) {
-        self.log.push(rec);
-    }
-
-    fn log_rewrite(&mut self, recs: Vec<P::LogRec>) {
-        *self.log = recs;
-    }
-
-    fn commit(&mut self, committed: Committed) -> Bytes {
-        let result = self.sm.apply(&committed.cmd);
-        *self.commit_count += 1;
-        if let Some(o) = &mut self.obs {
-            o.count(names::EXECUTED, 1);
-        }
-        if committed.origin == self.id && !self.suppress_replies {
-            let id = committed.cmd.id;
-            if let Some(t) = self.tracer {
-                // Commit and execution are one synchronous step in this
-                // runtime: the protocol decided the command and the state
-                // machine applied it just above.
-                let (key, at, me) = (span_key(id), self.mono_us(), self.id.as_u16());
-                t.record_at_origin(key, me, TraceStage::Committed.index(), at);
-                t.record_at_origin(key, me, TraceStage::Executed.index(), at);
-            }
-            self.replies.push((id, Reply::new(id, result.clone())));
-        }
-        result
-    }
-
-    fn set_timer(&mut self, after: Micros, token: TimerToken) {
-        *self.timer_seq += 1;
-        let due = Instant::now() + Duration::from_micros(after);
-        self.timers.push(Reverse((due, *self.timer_seq, token)));
-    }
-
-    fn sm_snapshot(&mut self) -> Option<Bytes> {
-        Some(self.sm.snapshot())
-    }
-
-    fn sm_install(&mut self, snapshot: Bytes) -> bool {
-        self.sm.restore(&snapshot)
-    }
-
-    fn sm_read(&mut self, cmd: &Command) -> Option<Bytes> {
-        self.sm.query(cmd)
-    }
-
-    fn send_reply(&mut self, reply: Reply) {
-        if !self.suppress_replies {
-            self.replies.push((reply.id, reply));
-        }
-    }
-
-    fn obs_active(&self) -> bool {
-        self.obs.is_some()
-    }
-
-    fn obs_count(&mut self, name: &'static str, delta: u64) {
-        if let Some(o) = &mut self.obs {
-            o.count(name, delta);
-        }
-    }
-
-    fn obs_gauge(&mut self, name: &'static str, value: i64) {
-        if let Some(o) = &mut self.obs {
-            o.gauge(name, value);
-        }
-    }
-
-    fn obs_gauge_idx(&mut self, name: &'static str, idx: ReplicaId, value: i64) {
-        if let Some(o) = &mut self.obs {
-            o.gauge_idx(name, idx.as_u16(), value);
-        }
-    }
-
-    fn trace(&mut self, id: CommandId, stage: TraceStage) {
-        if let Some(t) = self.tracer {
-            t.record(span_key(id), stage.index(), self.mono_us());
-        }
-    }
-}
+type Timers = BinaryHeap<Reverse<(Instant, u64, TimerToken)>>;
 
 impl<P: Protocol> NodeHarness<P> {
-    /// The node thread body: dispatch messages, requests, and timers until
-    /// asked to stop.
-    pub(crate) fn run(mut self) -> NodeReport {
-        let mut stamper = MonotonicStamper::new();
-        let mut timers: BinaryHeap<Reverse<(Instant, u64, TimerToken)>> = BinaryHeap::new();
-        let mut timer_seq = 0u64;
-        let mut commit_count = 0u64;
-        let mut replies: ReplyBatch = Vec::new();
-        // Adaptive batching state: the controller picks the effective
-        // flush threshold per drain (static policies pin it), fed by the
-        // observed inbox depth and — via `req_drained` — the drain-to-
-        // reply latency of this node's own clients' requests.
-        let adaptive = self.batch.adaptive;
-        let mut batcher = BatchController::new(self.batch);
-        let mut req_drained: HashMap<CommandId, Instant> = HashMap::new();
+    fn now_us(&self) -> Micros {
+        self.epoch.elapsed().as_micros() as Micros
+    }
 
-        // Run one protocol callback, then flush every reply it produced
-        // as ONE channel send (reply batching: co-located clients cost
-        // one send per drained batch, not one per reply).
-        macro_rules! dispatch {
-            (|$c:ident| $body:expr) => {{
-                {
-                    let mut $c = NodeCtx {
-                        id: self.id,
-                        epoch: self.epoch,
-                        clock_offset_us: self.clock_offset_us,
-                        stamper: &mut stamper,
-                        log: &mut self.log,
-                        sm: self.sm.as_mut(),
-                        outbound: &mut self.outbound,
-                        replies: &mut replies,
-                        timers: &mut timers,
-                        timer_seq: &mut timer_seq,
-                        commit_count: &mut commit_count,
-                        suppress_replies: false,
-                        obs: self.obs.as_mut(),
-                        tracer: self.tracer.as_ref(),
-                    };
-                    $body;
+    /// Carries out one step's effects: commit bookkeeping at "now",
+    /// peer sends, timers, and one reply batch.
+    fn carry_out(&mut self, eff: Effects<P>, timers: &mut Timers, timer_seq: &mut u64) {
+        let now = self.now_us();
+        self.core.finish(&eff, now, 0);
+        let from = self.core.id();
+        let armed = Instant::now();
+        let Effects {
+            sends,
+            timers: new_timers,
+            commits,
+            read_replies,
+            installed: _,
+        } = eff;
+        for (to, msg) in sends {
+            match &mut self.outbound {
+                Outbound::Wan(tx) => {
+                    let _ = tx.send(NetInput::Send(Wire { from, to, msg }));
                 }
-                if !replies.is_empty() {
-                    if adaptive {
-                        let now_us = self.epoch.elapsed().as_micros() as Micros;
-                        for (id, _) in &replies {
-                            if let Some(t0) = req_drained.remove(id) {
-                                batcher.record_commit_latency(
-                                    t0.elapsed().as_micros() as Micros,
-                                    now_us,
-                                );
-                            }
-                        }
-                    }
-                    let _ = self.reply_tx.send(std::mem::take(&mut replies));
-                }
-            }};
+                Outbound::Socket(sink) => sink.send_msg(to, msg),
+            }
         }
+        for (after, token) in new_timers {
+            *timer_seq += 1;
+            timers.push(Reverse((
+                armed + Duration::from_micros(after),
+                *timer_seq,
+                token,
+            )));
+        }
+        let replies: ReplyBatch = commits
+            .into_iter()
+            .filter_map(|(_, reply)| reply)
+            .chain(read_replies)
+            .collect();
+        if !replies.is_empty() {
+            let _ = self.reply_tx.send(replies);
+        }
+    }
 
-        dispatch!(|c| self.proto.on_start(&mut c));
+    /// The node thread body: run timers, polls, and drained inbox
+    /// batches through the core until asked to stop.
+    pub(crate) fn run(mut self) -> NodeReport {
+        let mut timers = Timers::new();
+        let mut timer_seq = 0u64;
+        let eff = self.core.step(self.now_us(), Input::Start);
+        self.carry_out(eff, &mut timers, &mut timer_seq);
 
         // First sweep fires immediately so every gauge series exists
         // from node start (a short-lived cluster would otherwise
         // snapshot before the first interval elapses).
         let mut next_poll = self.poll_every.map(|_| Instant::now());
+        let mut inputs: Vec<Input<P::Msg>> = Vec::new();
 
         loop {
             // Fire due timers first.
             let now = Instant::now();
-            loop {
-                let due = match timers.peek() {
-                    Some(Reverse((due, _, _))) if *due <= now => *due,
-                    _ => break,
-                };
-                let _ = due;
-                let Reverse((_, _, token)) = timers.pop().expect("peeked");
-                dispatch!(|c| self.proto.on_timer(token, &mut c));
+            while let Some(Reverse((due, _, token))) = timers.peek().copied() {
+                if due > now {
+                    break;
+                }
+                timers.pop();
+                let eff = self.core.step(self.now_us(), Input::Timer(token));
+                self.carry_out(eff, &mut timers, &mut timer_seq);
             }
 
             // Periodic gauge poll (observing clusters only): ask the
@@ -310,7 +260,8 @@ impl<P: Protocol> NodeHarness<P> {
             // lag, per-peer LatestTV staleness, ballot.
             if let (Some(every), Some(np)) = (self.poll_every, next_poll) {
                 if Instant::now() >= np {
-                    dispatch!(|c| self.proto.obs_poll(&mut c));
+                    let eff = self.core.step(self.now_us(), Input::ObsPoll);
+                    self.carry_out(eff, &mut timers, &mut timer_seq);
                     next_poll = Some(Instant::now() + every);
                 }
             }
@@ -322,115 +273,52 @@ impl<P: Protocol> NodeHarness<P> {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
-            let input = match deadline {
-                Some(due) => {
-                    let timeout = due.saturating_duration_since(Instant::now());
-                    match self.inbox.recv_timeout(timeout) {
-                        Ok(i) => i,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                None => match self.inbox.recv() {
-                    Ok(i) => i,
-                    Err(_) => break,
-                },
+            let timeout = deadline.map(|due| due.saturating_duration_since(Instant::now()));
+            let first = match self.inbox.recv(timeout) {
+                Ok(i) => i,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => break,
             };
 
-            match input {
-                NodeInput::Msg(wire) => {
-                    dispatch!(|c| self.proto.on_message(wire.from, wire.msg, &mut c));
-                }
-                NodeInput::Request(cmd) if cmd.read_only => {
-                    // Reads bypass the batching pipeline entirely: a
-                    // `Get` must never wait behind an adaptive flush
-                    // threshold, and it carries no depth signal for the
-                    // controller. Straight to the protocol's read path.
-                    dispatch!(|c| self.proto.on_client_read(cmd, &mut c));
-                }
-                NodeInput::Request(cmd) => {
-                    // Coalesce opportunistically: take whatever requests
-                    // are already queued (up to the effective count
-                    // threshold and byte budget) into one batch, never
-                    // waiting for more. A non-request input ends the run
-                    // and is handled right after, preserving arrival
-                    // order. The queue length (requests plus messages —
-                    // an upper bound on waiting requests, which is the
-                    // best this side of the channel can observe) is the
-                    // adaptive controller's depth signal.
-                    batcher.begin_drain(1 + self.inbox.len());
-                    if let Some(o) = &mut self.obs {
-                        o.gauge(names::BATCH_THRESHOLD, batcher.effective_max_batch() as i64);
+            // Drain everything already queued, never waiting for more:
+            // the core coalesces the writes among it into batches.
+            let now = self.now_us();
+            let me = self.core.id().as_u16();
+            let mut stop = false;
+            let mut next = Some(first);
+            while let Some(input) = next {
+                match input {
+                    NodeInput::Msg(wire) => inputs.push(Input::Msg(wire.from, wire.msg)),
+                    NodeInput::Request(cmd) => {
+                        // Span origin: this node, the command's local
+                        // replica. Reads are untraced: they skip the
+                        // ordering pipeline the span describes.
+                        if let (false, Some(t)) = (cmd.read_only, &self.tracer) {
+                            t.begin(span_key(cmd.id), me, now);
+                        }
+                        inputs.push(Input::Request(cmd, now));
                     }
-                    let mut bytes = cmd.size();
-                    let mut cmds = vec![cmd];
-                    let mut interrupt: Option<NodeInput<P>> = None;
-                    while batcher.fits(cmds.len(), bytes) {
-                        match self.inbox.try_recv() {
-                            Ok(NodeInput::Request(c)) if !c.read_only => {
-                                bytes += c.size();
-                                cmds.push(c);
-                            }
-                            Ok(other) => {
-                                // A read or a message ends the run (and
-                                // is handled right after, preserving
-                                // arrival order): reads never join
-                                // batches.
-                                interrupt = Some(other);
-                                break;
-                            }
-                            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                        }
-                    }
-                    if adaptive {
-                        let now = Instant::now();
-                        // Entries normally leave via the reply-flush
-                        // lookup, but a command may never reply at this
-                        // node (superseded proposal, duplicate dropped
-                        // as stale, client retried under a new id). The
-                        // map is advisory latency telemetry, so when it
-                        // grows past any plausible in-flight window we
-                        // evict stale entries rather than leak forever —
-                        // lost entries only cost latency samples.
-                        if req_drained.len() >= REQ_DRAINED_CAP {
-                            req_drained
-                                .retain(|_, t0| now.duration_since(*t0) < REQ_DRAINED_MAX_AGE);
-                        }
-                        for c in &cmds {
-                            req_drained.insert(c.id, now);
-                        }
-                    }
-                    if let Some(t) = &self.tracer {
-                        // Span origin: this node (the command's local
-                        // replica). Reads never reach here — they skip
-                        // the ordering pipeline the span describes.
-                        let at = self.epoch.elapsed().as_micros() as u64;
-                        for c in &cmds {
-                            t.begin(span_key(c.id), self.id.as_u16(), at);
-                        }
-                    }
-                    dispatch!(|c| self.proto.on_client_batch(Batch::new(cmds), &mut c));
-                    match interrupt {
-                        None => {}
-                        Some(NodeInput::Msg(wire)) => {
-                            dispatch!(|c| self.proto.on_message(wire.from, wire.msg, &mut c));
-                        }
-                        Some(NodeInput::Request(read)) => {
-                            debug_assert!(read.read_only, "only reads interrupt a run");
-                            dispatch!(|c| self.proto.on_client_read(read, &mut c));
-                        }
-                        Some(NodeInput::Stop) => break,
+                    NodeInput::Stop => {
+                        stop = true;
+                        break;
                     }
                 }
-                NodeInput::Stop => break,
+                next = self.inbox.try_recv();
+            }
+            if !inputs.is_empty() {
+                let eff = self.core.drain(now, &mut inputs);
+                self.carry_out(eff, &mut timers, &mut timer_seq);
+            }
+            if stop {
+                break;
             }
         }
 
         NodeReport {
-            id: self.id,
-            commit_count,
-            snapshot: self.sm.snapshot(),
-            log_len: self.log.len(),
+            id: self.core.id(),
+            commit_count: self.core.commit_count(),
+            snapshot: self.core.sm().snapshot(),
+            log_len: self.core.log().len(),
         }
     }
 }

@@ -340,6 +340,12 @@ impl PhysicalClock {
     }
 }
 
+impl rsm_core::node::Clock for PhysicalClock {
+    fn read(&mut self, now: Micros) -> Micros {
+        PhysicalClock::read(self, now)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -47,10 +47,8 @@ pub mod clock;
 pub mod cpu;
 pub mod sched;
 pub mod sim;
-pub mod storage;
 
 pub use clock::{ClockAnomaly, ClockModel, PhysicalClock};
 pub use cpu::CpuModel;
 pub use sched::EventQueue;
 pub use sim::{Application, CommitRecord, NullApplication, SimApi, SimConfig, Simulation};
-pub use storage::SimLog;

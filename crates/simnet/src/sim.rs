@@ -5,12 +5,13 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rsm_core::batch::{Batch, BatchController, BatchPolicy};
+use rsm_core::batch::BatchPolicy;
 use rsm_core::command::{Command, Committed, Reply};
 use rsm_core::id::{ClientId, ReplicaId};
 use rsm_core::matrix::LatencyMatrix;
-use rsm_core::obs::{names, span_key, TraceStage};
-use rsm_core::protocol::{Context, Protocol, TimerToken};
+use rsm_core::node::{Effects, Input, NodeCore};
+use rsm_core::obs::{span_key, TraceStage};
+use rsm_core::protocol::{Protocol, TimerToken};
 use rsm_core::sm::StateMachine;
 use rsm_core::time::Micros;
 use rsm_core::wire::WireSize;
@@ -20,7 +21,6 @@ use rsm_obs::{MetricsSnapshot, NodeObs, ObsConfig, Registry, Tracer};
 use crate::clock::{ClockAnomaly, ClockModel, PhysicalClock};
 use crate::cpu::CpuModel;
 use crate::sched::EventQueue;
-use crate::storage::SimLog;
 
 /// Static configuration of a simulation run.
 ///
@@ -114,12 +114,12 @@ impl SimConfig {
 
     /// Sets the request-coalescing policy: client requests queued at a
     /// replica when it gets scheduled are handed to the protocol as one
-    /// [`Batch`] of up to `max_batch` commands (never waiting
-    /// intentionally). The default is [`BatchPolicy::DISABLED`], which
-    /// reproduces per-command behaviour exactly. An
-    /// [adaptive](BatchPolicy::adaptive) policy gives every node a
-    /// [`BatchController`] fed from its inbox depth at each drain and
-    /// the commit latency of its own clients' requests.
+    /// [`Batch`](rsm_core::Batch) of up to `max_batch` commands (never
+    /// waiting intentionally). The default is [`BatchPolicy::DISABLED`],
+    /// which reproduces per-command behaviour exactly. An
+    /// [adaptive](BatchPolicy::adaptive) policy moves each node's flush
+    /// threshold with the writes queued at each drain and the commit
+    /// latency of its own clients' requests (see [`NodeCore`]).
     pub fn batch_policy(mut self, batch: BatchPolicy) -> Self {
         self.batch = batch;
         self
@@ -408,135 +408,16 @@ enum Event<P: Protocol> {
     ObsPoll,
 }
 
-enum NodeInput<P: Protocol> {
-    Msg(ReplicaId, P::Msg),
-    Request(Command),
-}
-
+/// One replica: the shared node core plus what only the simulator
+/// tracks about it.
 struct Node<P: Protocol> {
-    proto: P,
-    sm: Box<dyn StateMachine>,
-    clock: PhysicalClock,
-    log: SimLog<P::LogRec>,
+    core: NodeCore<P, PhysicalClock>,
     up: bool,
     incarnation: u64,
     commits: Vec<CommitRecord>,
-    commit_count: u64,
-    inbox: VecDeque<NodeInput<P>>,
+    inbox: Vec<Input<P::Msg>>,
     inbox_scheduled: bool,
     cpu_free: Micros,
-    /// Per-node batching controller: static policies pin it at
-    /// `max_batch`; adaptive policies move the effective flush threshold
-    /// each drain from observed inbox depth and commit latency.
-    batcher: BatchController,
-    /// Arrival time of each locally submitted, not-yet-committed request
-    /// — the adaptive controller's commit-latency feed. Populated only
-    /// under an adaptive policy; bounded by commands in flight.
-    req_arrivals: HashMap<CommandId, Micros>,
-    /// This replica's handle-cached view of the shared metrics registry
-    /// (`None` unless [`SimConfig::observe`] is set).
-    obs: Option<NodeObs>,
-}
-
-#[derive(Debug)]
-struct Effects<P: Protocol> {
-    sends: Vec<(ReplicaId, P::Msg)>,
-    /// Committed commands with the result the state machine produced
-    /// (applied inline, so snapshots taken mid-callback are accurate).
-    commits: Vec<(Committed, bytes::Bytes)>,
-    timers: Vec<(Micros, TimerToken)>,
-    /// Replies to locally served reads (`Context::send_reply`): routed
-    /// to the issuing client without a commit.
-    read_replies: Vec<Reply>,
-    /// A snapshot was installed during the callback: the state machine
-    /// jumped over commands this node never executed one by one.
-    installed: bool,
-}
-
-impl<P: Protocol> Default for Effects<P> {
-    fn default() -> Self {
-        Effects {
-            sends: Vec::new(),
-            commits: Vec::new(),
-            timers: Vec::new(),
-            read_replies: Vec::new(),
-            installed: false,
-        }
-    }
-}
-
-struct NodeCtx<'a, P: Protocol> {
-    now: Micros,
-    clock: &'a mut PhysicalClock,
-    log: &'a mut SimLog<P::LogRec>,
-    sm: &'a mut dyn StateMachine,
-    eff: &'a mut Effects<P>,
-    /// Metrics sink for this replica, when observing.
-    obs: Option<&'a mut NodeObs>,
-    /// Span collector, when observing. Trace stamps carry **virtual
-    /// time** — never the replica's (possibly skewed) physical clock —
-    /// so breakdown terms across replicas share one timeline.
-    tracer: Option<&'a Tracer>,
-}
-
-impl<'a, P: Protocol> Context<P> for NodeCtx<'a, P> {
-    fn clock(&mut self) -> Micros {
-        self.clock.read(self.now)
-    }
-    fn send(&mut self, to: ReplicaId, msg: P::Msg) {
-        self.eff.sends.push((to, msg));
-    }
-    fn log_append(&mut self, rec: P::LogRec) {
-        self.log.append(rec);
-    }
-    fn log_rewrite(&mut self, recs: Vec<P::LogRec>) {
-        self.log.rewrite(recs);
-    }
-    fn commit(&mut self, committed: Committed) -> bytes::Bytes {
-        let result = self.sm.apply(&committed.cmd);
-        self.eff.commits.push((committed, result.clone()));
-        result
-    }
-    fn set_timer(&mut self, after: Micros, token: TimerToken) {
-        self.eff.timers.push((after, token));
-    }
-    fn sm_snapshot(&mut self) -> Option<bytes::Bytes> {
-        Some(self.sm.snapshot())
-    }
-    fn sm_install(&mut self, snapshot: bytes::Bytes) -> bool {
-        let ok = self.sm.restore(&snapshot);
-        self.eff.installed |= ok;
-        ok
-    }
-    fn sm_read(&mut self, cmd: &Command) -> Option<bytes::Bytes> {
-        self.sm.query(cmd)
-    }
-    fn send_reply(&mut self, reply: Reply) {
-        self.eff.read_replies.push(reply);
-    }
-    fn obs_active(&self) -> bool {
-        self.obs.is_some()
-    }
-    fn obs_count(&mut self, name: &'static str, delta: u64) {
-        if let Some(o) = &mut self.obs {
-            o.count(name, delta);
-        }
-    }
-    fn obs_gauge(&mut self, name: &'static str, value: i64) {
-        if let Some(o) = &mut self.obs {
-            o.gauge(name, value);
-        }
-    }
-    fn obs_gauge_idx(&mut self, name: &'static str, idx: ReplicaId, value: i64) {
-        if let Some(o) = &mut self.obs {
-            o.gauge_idx(name, idx.as_u16(), value);
-        }
-    }
-    fn trace(&mut self, id: CommandId, stage: TraceStage) {
-        if let Some(t) = self.tracer {
-            t.record(span_key(id), stage.index(), self.now);
-        }
-    }
 }
 
 /// A deterministic discrete-event simulation of `P`-replicas on a wide-area
@@ -585,6 +466,11 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
     ) -> Self {
         let n = cfg.num_replicas();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let registry = Registry::new();
+        // Trace stamps carry virtual time, never a replica's (possibly
+        // skewed) physical clock, so stages across replicas share one
+        // timeline.
+        let tracer = cfg.observe.map(Tracer::new);
         let mut nodes = Vec::with_capacity(n);
         for i in 0..n {
             let id = ReplicaId::new(i as u16);
@@ -603,29 +489,25 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                 .filter(|(r, _, _)| *r == i)
                 .map(|&(_, at, a)| (at, a))
                 .collect();
+            let obs = cfg
+                .observe
+                .map(|_| NodeObs::new(registry.clone(), i as u16));
             nodes.push(Node {
-                proto: factory(id),
-                sm: sm_factory(),
-                clock: PhysicalClock::with_anomalies(model, anomalies),
-                log: SimLog::new(),
+                core: NodeCore::new(
+                    factory(id),
+                    sm_factory(),
+                    PhysicalClock::with_anomalies(model, anomalies),
+                    cfg.batch,
+                    obs,
+                    tracer.clone(),
+                ),
                 up: true,
                 incarnation: 0,
                 commits: Vec::new(),
-                commit_count: 0,
-                inbox: VecDeque::new(),
+                inbox: Vec::new(),
                 inbox_scheduled: false,
                 cpu_free: 0,
-                batcher: BatchController::new(cfg.batch),
-                req_arrivals: HashMap::new(),
-                obs: None,
             });
-        }
-        let registry = Registry::new();
-        let tracer = cfg.observe.map(Tracer::new);
-        if cfg.observe.is_some() {
-            for (i, node) in nodes.iter_mut().enumerate() {
-                node.obs = Some(NodeObs::new(registry.clone(), i as u16));
-            }
         }
         let mut sim = Simulation {
             fifo_floor: vec![vec![0; n]; n],
@@ -648,7 +530,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
             sim.queue.push(obs.poll_interval, Event::ObsPoll);
         }
         for i in 0..n {
-            sim.invoke(i, false, |p, ctx| p.on_start(ctx));
+            sim.invoke(i, Input::Start);
         }
         let hints = sim.read_hints();
         let Simulation {
@@ -683,7 +565,8 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
             .iter()
             .enumerate()
             .map(|(i, n)| {
-                n.proto
+                n.core
+                    .protocol()
                     .lease_holder_hint()
                     .unwrap_or(ReplicaId::new(i as u16))
             })
@@ -735,7 +618,8 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
     /// counterpart of [`SimApi::read_target`]).
     pub fn read_target(&self, site: ReplicaId) -> ReplicaId {
         self.nodes[site.index()]
-            .proto
+            .core
+            .protocol()
             .lease_holder_hint()
             .unwrap_or(site)
     }
@@ -766,17 +650,17 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
     /// Total number of commands a replica has executed (monotonic across
     /// recoveries).
     pub fn commit_count(&self, r: ReplicaId) -> u64 {
-        self.nodes[r.index()].commit_count
+        self.nodes[r.index()].core.commit_count()
     }
 
     /// Snapshot of a replica's state machine.
     pub fn snapshot(&self, r: ReplicaId) -> bytes::Bytes {
-        self.nodes[r.index()].sm.snapshot()
+        self.nodes[r.index()].core.sm().snapshot()
     }
 
     /// The stable log of a replica (test observability).
     pub fn log(&self, r: ReplicaId) -> &[P::LogRec] {
-        self.nodes[r.index()].log.records()
+        self.nodes[r.index()].core.log()
     }
 
     /// Whether a replica is currently up.
@@ -788,12 +672,12 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
     /// bench observability; `max_batch` under a static policy, moving
     /// with load under an adaptive one).
     pub fn batch_threshold(&self, r: ReplicaId) -> usize {
-        self.nodes[r.index()].batcher.effective_max_batch()
+        self.nodes[r.index()].core.batch_threshold()
     }
 
     /// Immutable access to a replica's protocol instance.
     pub fn protocol(&self, r: ReplicaId) -> &P {
-        &self.nodes[r.index()].proto
+        self.nodes[r.index()].core.protocol()
     }
 
     /// A deterministic snapshot of every metric, or `None` when
@@ -815,7 +699,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
     /// anomaly schedules).
     pub fn read_clock(&mut self, r: ReplicaId) -> Micros {
         let now = self.now;
-        self.nodes[r.index()].clock.read(now)
+        self.nodes[r.index()].core.clock_mut().read(now)
     }
 
     /// Runs until the queue drains, `until` is reached, a stop is
@@ -863,7 +747,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
             } => {
                 let idx = node.index();
                 if self.nodes[idx].up && self.nodes[idx].incarnation == incarnation {
-                    self.invoke(idx, false, |p, ctx| p.on_timer(token, ctx));
+                    self.invoke(idx, Input::Timer(token));
                 }
             }
             Event::Request { to, cmd } => {
@@ -880,32 +764,18 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                         t.begin(span_key(cmd.id), to.as_u16(), self.now);
                     }
                 }
-                // Reads never coalesce: batching amortizes replication
-                // cost, and a local read replicates nothing, so holding
-                // a Get behind an adaptive flush threshold would buy
-                // nothing and inflate read latency. They only pass
-                // through the inbox when a CPU model prices processing.
-                if cmd.read_only {
-                    if self.cfg.cpu.is_some() {
-                        self.enqueue_input(idx, NodeInput::Request(cmd));
-                    } else {
-                        self.invoke(idx, false, |p, ctx| p.on_client_read(cmd, ctx));
-                    }
-                    return;
-                }
-                // Write requests pass through the node's inbox when that
-                // buys something: a CPU model prices the processing
-                // step, and a batch policy coalesces same-instant
-                // arrivals. With neither (the default for latency
+                // A request passes through the node's inbox when that
+                // buys something: a CPU model prices the processing step,
+                // and a batch policy coalesces queued writes (reads never
+                // coalesce). Otherwise (the default for latency
                 // experiments) the hop only doubles event-queue traffic,
                 // so invoke directly.
-                if self.cfg.cpu.is_some() || self.cfg.batch.coalesces() {
-                    if self.cfg.batch.adaptive {
-                        self.nodes[idx].req_arrivals.insert(cmd.id, self.now);
-                    }
-                    self.enqueue_input(idx, NodeInput::Request(cmd));
+                let read_only = cmd.read_only;
+                let input = Input::Request(cmd, self.now);
+                if self.cfg.cpu.is_some() || (!read_only && self.cfg.batch.coalesces()) {
+                    self.enqueue_input(idx, input);
                 } else {
-                    self.invoke(idx, false, |p, ctx| p.on_client_request(cmd, ctx));
+                    self.invoke(idx, input);
                 }
             }
             Event::ReplyArrive { client, reply } => {
@@ -964,7 +834,6 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                     n.incarnation += 1;
                     n.inbox.clear();
                     n.inbox_scheduled = false;
-                    n.req_arrivals.clear();
                 }
             }
             Event::Recover { node } => self.handle_recover(node),
@@ -973,15 +842,21 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
             }
             Event::Heal { a, b } => self.handle_heal(a, b),
             Event::ClockJump { node, delta_us } => {
-                self.nodes[node.index()].clock.jump(delta_us);
+                self.nodes[node.index()].core.clock_mut().jump(delta_us);
             }
             Event::ClockFreeze { node, dur_us } => {
                 let now = self.now;
-                self.nodes[node.index()].clock.freeze(now, dur_us);
+                self.nodes[node.index()]
+                    .core
+                    .clock_mut()
+                    .freeze(now, dur_us);
             }
             Event::ClockDrift { node, ppm, dur_us } => {
                 let now = self.now;
-                self.nodes[node.index()].clock.drift_burst(now, ppm, dur_us);
+                self.nodes[node.index()]
+                    .core
+                    .clock_mut()
+                    .drift_burst(now, ppm, dur_us);
             }
             Event::LinkDelay { a, b, extra_us } => {
                 let e = self.link_chaos.entry(link_key(a, b)).or_insert((0, 0));
@@ -1003,7 +878,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
             Event::ObsPoll => {
                 for i in 0..self.nodes.len() {
                     if self.nodes[i].up {
-                        self.invoke(i, false, |p, ctx| p.obs_poll(ctx));
+                        self.invoke(i, Input::ObsPoll);
                     }
                 }
                 if let Some(obs) = self.cfg.observe {
@@ -1033,9 +908,9 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
             return; // destination crashed: message lost
         }
         if self.cfg.cpu.is_some() {
-            self.enqueue_input(idx, NodeInput::Msg(from, msg));
+            self.enqueue_input(idx, Input::Msg(from, msg));
         } else {
-            self.invoke(idx, false, |p, ctx| p.on_message(from, msg, ctx));
+            self.invoke(idx, Input::Msg(from, msg));
         }
     }
 
@@ -1044,24 +919,17 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         if self.nodes[idx].up {
             return;
         }
-        {
-            let batch = self.cfg.batch;
-            let n = &mut self.nodes[idx];
-            n.up = true;
-            n.incarnation += 1;
-            n.proto = (self.factory)(node);
-            n.sm.reset();
-            n.commits.clear();
-            n.cpu_free = self.now;
-            // Batching state is volatile: the fresh incarnation re-learns
-            // its operating point instead of trusting pre-crash load.
-            n.batcher = BatchController::new(batch);
-        }
-        let log: Vec<P::LogRec> = self.nodes[idx].log.records().to_vec();
-        // Replaying the log re-commits executed commands into the fresh
-        // state machine; replies are suppressed (clients saw them already).
-        self.invoke(idx, true, |p, ctx| p.on_recover(&log, ctx));
-        self.invoke(idx, false, |p, ctx| p.on_start(ctx));
+        let proto = (self.factory)(node);
+        let n = &mut self.nodes[idx];
+        n.up = true;
+        n.incarnation += 1;
+        n.commits.clear();
+        n.cpu_free = self.now;
+        // The core replays the stable log into a fresh state machine with
+        // replies suppressed, and drops the volatile batching state.
+        let eff = n.core.recover(self.now, proto);
+        self.apply_effects(idx, eff, self.now);
+        self.invoke(idx, Input::Start);
     }
 
     fn handle_heal(&mut self, a: ReplicaId, b: ReplicaId) {
@@ -1082,10 +950,10 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         }
     }
 
-    fn enqueue_input(&mut self, idx: usize, input: NodeInput<P>) {
+    fn enqueue_input(&mut self, idx: usize, input: Input<P::Msg>) {
         let (at, incarnation) = {
             let n = &mut self.nodes[idx];
-            n.inbox.push_back(input);
+            n.inbox.push(input);
             if n.inbox_scheduled {
                 return;
             }
@@ -1101,13 +969,12 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         );
     }
 
-    /// Inbox processing step: drain the inbox as one receive batch,
-    /// coalesce runs of queued client requests into [`Batch`]es (capped
-    /// by the batch policy), run the protocol, then ship all produced
-    /// messages as per-destination send batches. With a CPU model the
-    /// node is busy for the step's total cost and outgoing messages hit
-    /// the network when it completes; without one the step is free and
-    /// instantaneous (pure coalescing).
+    /// Inbox processing step: the node core runs the drained inbox as
+    /// one receive batch (coalescing queued writes into client batches),
+    /// then the produced messages ship as per-destination send batches.
+    /// With a CPU model the node is busy for the step's total cost and
+    /// its effects take hold when it completes; without one the step is
+    /// free and instantaneous (pure coalescing).
     fn handle_process_inbox(&mut self, node: ReplicaId, incarnation: u64) {
         let idx = node.index();
         // Same staleness guard as Timer: a crash (and the subsequent
@@ -1119,111 +986,28 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
             return;
         }
         let cpu = self.cfg.cpu;
-        let inputs: Vec<NodeInput<P>> = {
-            let n = &mut self.nodes[idx];
-            n.inbox_scheduled = false;
-            if !n.up || n.inbox.is_empty() {
-                n.inbox.clear();
-                return;
-            }
-            n.inbox.drain(..).collect()
-        };
+        let n = &mut self.nodes[idx];
+        n.inbox_scheduled = false;
+        if !n.up || n.inbox.is_empty() {
+            n.inbox.clear();
+            return;
+        }
         let recv_cost = match cpu {
             Some(cpu) => {
-                let recv_bytes: usize = inputs
+                let recv_bytes: usize = n
+                    .inbox
                     .iter()
                     .map(|i| match i {
-                        NodeInput::Msg(_, m) => m.wire_size(),
-                        NodeInput::Request(c) => c.wire_size(),
+                        Input::Msg(_, m) => m.wire_size(),
+                        Input::Request(c, _) => c.wire_size(),
+                        _ => 0,
                     })
                     .sum();
-                cpu.batch_cost(inputs.len(), recv_bytes)
+                cpu.batch_cost(n.inbox.len(), recv_bytes)
             }
             None => 0,
         };
-
-        // Run the protocol over every input, accumulating effects.
-        // Consecutive requests coalesce into one client batch each, up to
-        // the policy cap; messages flush the run so relative order with
-        // requests is preserved.
-        let mut eff = Effects::default();
-        {
-            let tracer = self.tracer.as_ref();
-            let n = &mut self.nodes[idx];
-            let Node {
-                proto,
-                clock,
-                log,
-                sm,
-                batcher,
-                obs,
-                ..
-            } = n;
-            // Hand the controller this drain's load signal (queued client
-            // requests); it returns by mutating its effective threshold,
-            // which `batcher.fits` below applies. Static policies pass
-            // through unchanged.
-            // Reads never join batches, so they carry no depth signal:
-            // letting a read-heavy mix widen the flush threshold would
-            // only delay the writes it is interleaved with.
-            let queued_requests = inputs
-                .iter()
-                .filter(|i| matches!(i, NodeInput::Request(c) if !c.read_only))
-                .count();
-            batcher.begin_drain(queued_requests);
-            if let Some(o) = obs.as_mut() {
-                // The controller's operating point, freshly adjusted for
-                // this drain's load signal.
-                o.gauge(names::BATCH_THRESHOLD, batcher.effective_max_batch() as i64);
-            }
-            let mut ctx = NodeCtx {
-                now: self.now,
-                clock,
-                log,
-                sm: sm.as_mut(),
-                eff: &mut eff,
-                obs: obs.as_mut(),
-                tracer,
-            };
-            let mut run: Vec<Command> = Vec::new();
-            let mut run_bytes = 0usize;
-            for input in inputs {
-                match input {
-                    NodeInput::Msg(from, m) => {
-                        if !run.is_empty() {
-                            proto.on_client_batch(Batch::new(std::mem::take(&mut run)), &mut ctx);
-                            run_bytes = 0;
-                        }
-                        proto.on_message(from, m, &mut ctx);
-                    }
-                    NodeInput::Request(c) if c.read_only => {
-                        // Reads bypass coalescing entirely: flush the
-                        // open write run (relative order is preserved)
-                        // and hand the read straight to the protocol's
-                        // read path.
-                        if !run.is_empty() {
-                            proto.on_client_batch(Batch::new(std::mem::take(&mut run)), &mut ctx);
-                            run_bytes = 0;
-                        }
-                        proto.on_client_read(c, &mut ctx);
-                    }
-                    NodeInput::Request(c) => {
-                        // Flush when the effective command count or byte
-                        // budget is full — kilobyte payloads flush long
-                        // before the count cap.
-                        if !batcher.fits(run.len(), run_bytes) {
-                            proto.on_client_batch(Batch::new(std::mem::take(&mut run)), &mut ctx);
-                            run_bytes = 0;
-                        }
-                        run_bytes += c.size();
-                        run.push(c);
-                    }
-                }
-            }
-            if !run.is_empty() {
-                proto.on_client_batch(Batch::new(run), &mut ctx);
-            }
-        }
+        let eff = n.core.drain(self.now, &mut n.inbox);
 
         // Send batches: group by destination (order-preserving).
         let mut send_cost: Micros = 0;
@@ -1245,7 +1029,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                 send_cost += cpu.batch_cost(k, bytes);
             }
             // Replies to local clients are one more small send batch.
-            let reply_count = eff.commits.iter().filter(|(c, _)| c.origin == node).count();
+            let reply_count = eff.commits.iter().filter(|(_, r)| r.is_some()).count();
             if reply_count > 0 {
                 send_cost += cpu.batch_cost(reply_count, reply_count * 16);
             }
@@ -1253,7 +1037,7 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
 
         let done = self.now + recv_cost + send_cost;
         self.nodes[idx].cpu_free = done;
-        self.apply_effects(idx, eff, done, false);
+        self.apply_effects(idx, eff, done);
 
         // More input may have queued while this step was being planned.
         let n = &mut self.nodes[idx];
@@ -1265,44 +1049,26 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         }
     }
 
-    /// Runs `f` against node `idx`'s protocol with a fresh effect buffer,
-    /// then applies the effects at the current instant.
-    fn invoke(
-        &mut self,
-        idx: usize,
-        suppress_replies: bool,
-        f: impl FnOnce(&mut P, &mut NodeCtx<'_, P>),
-    ) {
-        let mut eff = Effects::default();
-        {
-            let tracer = self.tracer.as_ref();
-            let n = &mut self.nodes[idx];
-            let Node {
-                proto,
-                clock,
-                log,
-                sm,
-                obs,
-                ..
-            } = n;
-            let mut ctx = NodeCtx {
-                now: self.now,
-                clock,
-                log,
-                sm: sm.as_mut(),
-                eff: &mut eff,
-                obs: obs.as_mut(),
-                tracer,
-            };
-            f(proto, &mut ctx);
-        }
-        self.apply_effects(idx, eff, self.now, suppress_replies);
+    /// Runs one input through node `idx`'s core and applies its effects
+    /// at the current instant.
+    fn invoke(&mut self, idx: usize, input: Input<P::Msg>) {
+        let eff = self.nodes[idx].core.step(self.now, input);
+        self.apply_effects(idx, eff, self.now);
     }
 
-    /// Applies buffered effects produced by node `idx`: schedules message
-    /// deliveries (with latency, jitter, and per-link FIFO floors), arms
-    /// timers, executes commits on the state machine, and routes replies.
-    fn apply_effects(&mut self, idx: usize, eff: Effects<P>, at: Micros, suppress_replies: bool) {
+    /// Carries out the effects node `idx` produced in a step completing
+    /// at `at`: schedules message deliveries (with latency, jitter, and
+    /// per-link FIFO floors), arms timers, records executed commands, and
+    /// routes replies.
+    fn apply_effects(&mut self, idx: usize, eff: Effects<P>, at: Micros) {
+        // Executing a flushed batch is not instantaneous: under a CPU
+        // model, the k-th commit of one step finishes (and its reply
+        // departs) k executions later than the first. Without the
+        // spread, every reply of a saturating flush lands at one instant
+        // and the sampled latency distribution collapses to a point
+        // (p99 == p50) under heavy batched load.
+        let per_exec_us = self.cfg.cpu.as_ref().map(|c| c.per_msg_us).unwrap_or(0);
+        self.nodes[idx].core.finish(&eff, at, per_exec_us);
         let from = ReplicaId::new(idx as u16);
         for (to, msg) in eff.sends {
             // Link chaos (extra delay + jitter set by the fuzzer) applies
@@ -1363,48 +1129,16 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
         // client — no commit, no history record, one delivery hop
         // (local, or the WAN hop home when the client routed the read
         // to a remote replica).
-        if !suppress_replies {
-            for reply in eff.read_replies {
-                let client = reply.id.client;
-                self.queue.push(
-                    at + self.reply_delay(from, client),
-                    Event::ReplyArrive { client, reply },
-                );
-            }
+        for reply in eff.read_replies {
+            let client = reply.id.client;
+            self.queue.push(
+                at + self.reply_delay(from, client),
+                Event::ReplyArrive { client, reply },
+            );
         }
-        // Executing a flushed batch is not instantaneous: under a CPU
-        // model, the k-th commit of one callback finishes (and its
-        // reply departs) k executions later than the first. Without the
-        // spread, every reply of a saturating flush lands at one
-        // instant and the sampled latency distribution collapses to a
-        // point (p99 == p50) under heavy batched load.
-        let per_exec_us = self.cfg.cpu.as_ref().map(|c| c.per_msg_us).unwrap_or(0);
-        for (k, (committed, result)) in eff.commits.into_iter().enumerate() {
-            let done_at = at + per_exec_us * k as Micros;
-            let n = &mut self.nodes[idx];
-            n.commit_count += 1;
-            if let Some(o) = &mut n.obs {
-                // Mirrors `commit_count` exactly, replays included.
-                o.count(names::EXECUTED, 1);
-            }
-            // Commit/execute stamps stay on the origin replica (the
-            // client's pipeline); recovery replays re-execute old
-            // commands and must not re-stamp still-open spans.
-            if !suppress_replies && committed.origin == from {
-                if let Some(t) = &self.tracer {
-                    let key = span_key(committed.cmd.id);
-                    let r = from.as_u16();
-                    t.record_at_origin(key, r, TraceStage::Committed.index(), at);
-                    t.record_at_origin(key, r, TraceStage::Executed.index(), done_at);
-                }
-            }
-            // Close the adaptive controller's latency loop for requests
-            // this node originated (the map is empty otherwise).
-            if let Some(t0) = n.req_arrivals.remove(&committed.cmd.id) {
-                n.batcher.record_commit_latency(at.saturating_sub(t0), at);
-            }
+        for (k, (committed, reply)) in eff.commits.into_iter().enumerate() {
             if self.cfg.record_history {
-                n.commits.push(CommitRecord {
+                self.nodes[idx].commits.push(CommitRecord {
                     at,
                     order_hint: committed.order_hint,
                     origin: committed.origin,
@@ -1412,9 +1146,9 @@ impl<P: Protocol, A: Application<P>> Simulation<P, A> {
                 });
             }
             self.app.on_commit(from, &committed, at);
-            if committed.origin == from && !suppress_replies {
-                let client = committed.cmd.id.client;
-                let reply = Reply::new(committed.cmd.id, result);
+            if let Some(reply) = reply {
+                let client = reply.id.client;
+                let done_at = at + per_exec_us * k as Micros;
                 self.queue.push(
                     done_at + self.reply_delay(from, client),
                     Event::ReplyArrive { client, reply },
@@ -1450,6 +1184,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use rsm_core::command::CommandId;
+    use rsm_core::protocol::Context;
 
     /// A toy protocol: the origin broadcasts a command; every replica
     /// commits on receipt (no coordination). Exercises delivery, FIFO,
