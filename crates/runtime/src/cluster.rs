@@ -60,6 +60,10 @@ pub const CLIENT_BASE: u32 = 0x4000_0000;
 /// it, or the caller panicked between insert and receive).
 const PENDING_SWEEP_MIN: usize = 1024;
 
+/// Only a thread that panicked while holding the pending-reply lock
+/// leaves it poisoned; the map is then no longer trustworthy.
+const PENDING_POISONED: &str = "a thread panicked holding the pending-reply map";
+
 /// Default admission-control high-water mark: a *new* command is
 /// rejected with [`ExecuteError::Busy`] when its target replica's inbox
 /// or deepest per-peer outbound queue holds more than this many
@@ -405,7 +409,7 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
                             t.complete(span_key(reply.id), TraceStage::Replied.index(), at);
                         }
                     }
-                    let mut pending = pending_for_router.lock().unwrap();
+                    let mut pending = pending_for_router.lock().expect(PENDING_POISONED);
                     for reply in batch {
                         if let Some(p) = pending.remove(&reply.id) {
                             // The waiter's one-slot channel is empty: each
@@ -594,7 +598,7 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
         match rx.recv_timeout(timeout) {
             Ok(reply) => Ok(reply),
             Err(_) => {
-                self.pending.lock().unwrap().remove(&id);
+                self.pending.lock().expect(PENDING_POISONED).remove(&id);
                 Err(ExecuteError::Timeout)
             }
         }
@@ -645,7 +649,7 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
     /// its slot forever.
     fn insert_pending(&self, id: CommandId, tx: SyncSender<Reply>, timeout: Duration) {
         let now = Instant::now();
-        let mut pending = self.pending.lock().unwrap();
+        let mut pending = self.pending.lock().expect(PENDING_POISONED);
         if pending.len() >= PENDING_SWEEP_MIN {
             pending.retain(|_, p| p.expires > now);
         }
@@ -714,7 +718,7 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
         }
         // The node threads held the only reply senders, so the router's
         // channel is closed and it exits once it has routed the rest.
-        let _ = self.router_handle.join();
+        self.router_handle.join().expect("reply router panicked");
         reports
     }
 }

@@ -67,14 +67,12 @@ impl<M> Clone for InboxTx<M> {
 }
 
 impl<M> InboxTx<M> {
-    /// Queues `input`; false when the node thread has exited.
-    pub(crate) fn send(&self, input: NodeInput<M>) -> bool {
+    /// Queues `input`; dropped when the node thread has exited.
+    pub(crate) fn send(&self, input: NodeInput<M>) {
         self.depth.add(1);
-        let sent = self.tx.send(input).is_ok();
-        if !sent {
+        if self.tx.send(input).is_err() {
             self.depth.add(-1);
         }
-        sent
     }
 
     /// Inputs queued and not yet received by the node thread.
@@ -182,7 +180,32 @@ pub(crate) struct NodeHarness<P: Protocol> {
     pub poll_every: Option<Duration>,
 }
 
-type Timers = BinaryHeap<Reverse<(Instant, u64, TimerToken)>>;
+/// Armed one-shot protocol timers, earliest first (ties in arming
+/// order).
+#[derive(Default)]
+struct Timers {
+    heap: BinaryHeap<Reverse<(Instant, u64, TimerToken)>>,
+    armed: u64,
+}
+
+impl Timers {
+    fn arm(&mut self, due: Instant, token: TimerToken) {
+        self.armed += 1;
+        self.heap.push(Reverse((due, self.armed, token)));
+    }
+
+    fn next_due(&self) -> Option<Instant> {
+        self.heap.peek().map(|Reverse((due, _, _))| *due)
+    }
+
+    /// The earliest timer due by `now`, disarmed.
+    fn pop_due(&mut self, now: Instant) -> Option<TimerToken> {
+        if self.next_due()? > now {
+            return None;
+        }
+        self.heap.pop().map(|Reverse((_, _, token))| token)
+    }
+}
 
 impl<P: Protocol> NodeHarness<P> {
     fn now_us(&self) -> Micros {
@@ -191,7 +214,7 @@ impl<P: Protocol> NodeHarness<P> {
 
     /// Carries out one step's effects: commit bookkeeping at "now",
     /// peer sends, timers, and one reply batch.
-    fn carry_out(&mut self, eff: Effects<P>, timers: &mut Timers, timer_seq: &mut u64) {
+    fn carry_out(&mut self, eff: Effects<P>, timers: &mut Timers) {
         let now = self.now_us();
         self.core.finish(&eff, now, 0);
         let from = self.core.id();
@@ -212,12 +235,7 @@ impl<P: Protocol> NodeHarness<P> {
             }
         }
         for (after, token) in new_timers {
-            *timer_seq += 1;
-            timers.push(Reverse((
-                armed + Duration::from_micros(after),
-                *timer_seq,
-                token,
-            )));
+            timers.arm(armed + Duration::from_micros(after), token);
         }
         let replies: ReplyBatch = commits
             .into_iter()
@@ -232,10 +250,9 @@ impl<P: Protocol> NodeHarness<P> {
     /// The node thread body: run timers, polls, and drained inbox
     /// batches through the core until asked to stop.
     pub(crate) fn run(mut self) -> NodeReport {
-        let mut timers = Timers::new();
-        let mut timer_seq = 0u64;
+        let mut timers = Timers::default();
         let eff = self.core.step(self.now_us(), Input::Start);
-        self.carry_out(eff, &mut timers, &mut timer_seq);
+        self.carry_out(eff, &mut timers);
 
         // First sweep fires immediately so every gauge series exists
         // from node start (a short-lived cluster would otherwise
@@ -246,13 +263,9 @@ impl<P: Protocol> NodeHarness<P> {
         loop {
             // Fire due timers first.
             let now = Instant::now();
-            while let Some(Reverse((due, _, token))) = timers.peek().copied() {
-                if due > now {
-                    break;
-                }
-                timers.pop();
+            while let Some(token) = timers.pop_due(now) {
                 let eff = self.core.step(self.now_us(), Input::Timer(token));
-                self.carry_out(eff, &mut timers, &mut timer_seq);
+                self.carry_out(eff, &mut timers);
             }
 
             // Periodic gauge poll (observing clusters only): ask the
@@ -261,15 +274,14 @@ impl<P: Protocol> NodeHarness<P> {
             if let (Some(every), Some(np)) = (self.poll_every, next_poll) {
                 if Instant::now() >= np {
                     let eff = self.core.step(self.now_us(), Input::ObsPoll);
-                    self.carry_out(eff, &mut timers, &mut timer_seq);
+                    self.carry_out(eff, &mut timers);
                     next_poll = Some(Instant::now() + every);
                 }
             }
 
             // Sleep until the next timer or gauge poll, whichever is
             // sooner (forever when neither is pending).
-            let timer_due = timers.peek().map(|Reverse((due, _, _))| *due);
-            let deadline = match (timer_due, next_poll) {
+            let deadline = match (timers.next_due(), next_poll) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
@@ -307,7 +319,7 @@ impl<P: Protocol> NodeHarness<P> {
             }
             if !inputs.is_empty() {
                 let eff = self.core.drain(now, &mut inputs);
-                self.carry_out(eff, &mut timers, &mut timer_seq);
+                self.carry_out(eff, &mut timers);
             }
             if stop {
                 break;
