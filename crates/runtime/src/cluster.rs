@@ -381,6 +381,7 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
                 epoch,
                 tracer: tracer.clone(),
                 poll_every: cfg.observe.map(|o| Duration::from_micros(o.poll_interval)),
+                max_drain: cfg.batch.max_batch,
             };
             node_handles.push(
                 std::thread::Builder::new()

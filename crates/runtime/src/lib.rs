@@ -16,9 +16,10 @@
 //! uses it as a live deployment on one machine.
 //!
 //! A node thread keeps only thread concerns: it waits on its inbox with
-//! a timeout for the next timer or observability poll, drains everything
-//! already queued into one `NodeCore::drain` step, and pushes the step's
-//! effects to the outbound link, its timer heap, and the reply router.
+//! a timeout for the next timer or observability poll, drains what is
+//! already queued (at most `max_batch` inputs) into one `NodeCore::drain`
+//! step, and pushes the step's effects to the outbound link, its timer
+//! heap, and the reply router.
 //! Request coalescing ([`ClusterConfig::batch_policy`]), the adaptive
 //! controller's depth signal (the writes in each drain) and latency feed,
 //! and commit→reply routing are the core's, exactly as in the simulator.

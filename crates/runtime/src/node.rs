@@ -3,8 +3,10 @@
 //! The thread owns only what threads need: the inbox receiver, the timer
 //! heap, the observability poll interval, and the outbound halves that
 //! carry the core's [`Effects`] to peers and clients. Each wake-up drains
-//! everything queued in the inbox into one [`NodeCore::drain`] step, so
-//! the core sees the same shape of input the simulator gives it.
+//! what is queued in the inbox, up to one full batch's worth of inputs
+//! (`max_batch`), into one [`NodeCore::drain`] step, so the core sees
+//! the same shape of input the simulator gives it while sends, replies
+//! and due timers still go out after every batch's worth of work.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -178,6 +180,11 @@ pub(crate) struct NodeHarness<P: Protocol> {
     /// How often `Protocol::obs_poll` runs (from `ObsConfig`); `None`
     /// when not observing.
     pub poll_every: Option<Duration>,
+    /// Most inputs one step takes from the inbox: the batch policy's
+    /// `max_batch`. A backlog is worked off in steps of this size, so
+    /// no step withholds its sends and replies, or delays due timers,
+    /// behind an unbounded drain.
+    pub max_drain: usize,
 }
 
 /// Armed one-shot protocol timers, earliest first (ties in arming
@@ -292,8 +299,9 @@ impl<P: Protocol> NodeHarness<P> {
                 Err(RecvTimeoutError::Disconnected) => break,
             };
 
-            // Drain everything already queued, never waiting for more:
-            // the core coalesces the writes among it into batches.
+            // Drain what is already queued, up to `max_drain` inputs,
+            // never waiting for more: the core coalesces the writes
+            // among it into batches.
             let now = self.now_us();
             let me = self.core.id().as_u16();
             let mut stop = false;
@@ -315,7 +323,11 @@ impl<P: Protocol> NodeHarness<P> {
                         break;
                     }
                 }
-                next = self.inbox.try_recv();
+                next = if inputs.len() < self.max_drain {
+                    self.inbox.try_recv()
+                } else {
+                    None
+                };
             }
             if !inputs.is_empty() {
                 let eff = self.core.drain(now, &mut inputs);
